@@ -8,8 +8,6 @@ way.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.converter import DFToTorchConverter, SpatiotemporalSpec
 from repro.core.preprocessing.grid import STManager
 from repro.engine import Session

@@ -20,7 +20,7 @@ from repro.core.training import Trainer, rmse
 from repro.data import DataLoader, sequential_split
 from repro.nn import Conv2d, MSELoss, ReLU, Sequential
 from repro.optim import Adam
-from repro.tensor import Tensor, concatenate
+from repro.tensor import Tensor
 
 
 def _make_cnn(in_channels: int):

@@ -1,44 +1,35 @@
 #!/usr/bin/env bash
-# Repo health check, nine gates:
-#   1. lint: ruff check (config in pyproject.toml); skipped with a
-#      note when ruff is not installed in the environment
+# Repo health check, eight gates:
+#   1. lint: scripts/lint.py (stdlib only) imports every repro module
+#      with warnings as errors and reports unused imports
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
 #   4. spill lane: the spill suites again under a forced
 #      REPRO_TEST_MEMORY_BUDGET, so the out-of-core operator paths
 #      run even where a test forgot to pass memory_budget=
-#   5. traced lane: the training + trace suites again under a forced
-#      REPRO_TRACE=1, so every Trainer.fit in those tests runs through
-#      the trace record/replay path instead of pure eager
-#   6. obs-export lane: the unit suite again under REPRO_OBS_EXPORT=1,
+#   5. obs-export lane: the unit suite again under REPRO_OBS_EXPORT=1,
 #      so every test runs with the background telemetry flusher live
 #      (exercises the exporter racing real workloads)
-#   7. streaming lane: the streaming unit + property suites again
+#   6. streaming lane: the streaming unit + property suites again
 #      under a forced memory budget AND the live exporter at once, so
 #      incremental ingestion runs with spill-capable sessions and the
 #      telemetry runtime racing the delta-maintenance hot path
-#   8. bench smoke: benchmarks/run_quick.py runs to completion and
+#   7. bench smoke: benchmarks/run_quick.py runs to completion and
 #      regenerates BENCH_engine.json (incl. per-operator breakdown)
-#   9. bench diff: the fresh BENCH_engine.json must not regress the
+#   8. bench diff: the fresh BENCH_engine.json must not regress the
 #      watched keys (obs overhead, join speedup, ConvLSTM epoch time,
 #      peak activation bytes, compiled-stage speedup, 2-thread morsel
-#      scaling, spill peak bytes + slowdown, traced-step speedup +
-#      capture overhead, telemetry-runtime overhead, streaming update
-#      speedup + p99 latency) >25% vs the committed one;
+#      scaling, spill peak bytes + slowdown, telemetry-runtime
+#      overhead, streaming update speedup + p99 latency) >25% vs the
+#      committed one;
 #      obs_runtime_overhead_ratio must stay under an absolute 1.10
 #      cap and stream_update_speedup above an absolute 10x floor
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== lint: ruff check =="
-if command -v ruff >/dev/null 2>&1; then
-    ruff check src tests benchmarks scripts
-elif python -c "import ruff" >/dev/null 2>&1; then
-    python -m ruff check src tests benchmarks scripts
-else
-    echo "ruff not installed; skipping lint gate (pip install ruff to enable)"
-fi
+echo "== lint: imports + unused imports =="
+python scripts/lint.py
 
 echo "== tier-1: full suite =="
 python -m pytest -x -q
@@ -51,12 +42,6 @@ REPRO_TEST_MEMORY_BUDGET=4096 python -m pytest -q \
     tests/unit/test_spill_manager.py \
     tests/unit/test_spill_faults.py \
     tests/property/test_property_spill.py
-
-echo "== traced lane: forced REPRO_TRACE =="
-REPRO_TRACE=1 python -m pytest -q \
-    tests/unit/test_training.py \
-    tests/unit/test_trace.py \
-    tests/property/test_property_trace.py
 
 echo "== obs-export lane: background flusher live =="
 obs_export_dir="$(mktemp -d)"

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro import nn
 from repro.nn.module import Parameter
-from repro.tensor import Tensor
 
 
 class _ResidualUnit(nn.Module):

@@ -8,7 +8,6 @@ Validation-driven early stopping mirrors Section V-C.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -83,23 +82,6 @@ class Trainer:
         self.training_mode = training_mode
         self.grad_clip = grad_clip
         self.free_graph = free_graph
-        self._trace_session = None
-
-    @property
-    def trace_session(self):
-        """The :class:`~repro.tensor.trace.TraceSession` driving traced
-        steps, or None when no traced epoch has run yet.  Exposes
-        ``stats()`` for tests and diagnostics."""
-        return self._trace_session
-
-    def _ensure_trace_session(self):
-        if self._trace_session is None:
-            from repro.tensor.trace import TraceSession
-
-            self._trace_session = TraceSession(
-                self.model, self.loss_fn, free_graph=self.free_graph
-            )
-        return self._trace_session
 
     def _global_grad_norm(self) -> float:
         """Global L2 norm over all parameter gradients."""
@@ -130,47 +112,30 @@ class Trainer:
                     param.grad *= scale
 
     # ------------------------------------------------------------------
-    def train_epoch(self, loader, profiler=None, trace: bool = False) -> float:
+    def train_epoch(self, loader, profiler=None) -> float:
         """One pass over the loader; returns mean batch loss.
 
         ``profiler`` (an already-started
         :class:`~repro.obs.profiler.Profiler`) is stepped once per
         batch so its wait/warmup/active schedule advances with
-        training steps.
-
-        ``trace=True`` routes each batch through a
-        :class:`~repro.tensor.trace.TraceSession`: the first step is
-        recorded, matching steps replay the compiled program, and any
-        guard condition falls back to the ordinary eager step with
-        identical numbers (see :mod:`repro.tensor.trace`)."""
+        training steps."""
         self.model.train()
-        session = self._ensure_trace_session() if trace else None
         total, batches = 0.0, 0
         if self.training_mode == "cumulative":
             self.optimizer.zero_grad()
         for batch in loader:
             inputs, target = self.batch_adapter(batch)
-            if session is not None:
-                if self.training_mode == "incremental":
-                    self.optimizer.zero_grad()
-                loss_value = session.step(inputs, target)
-                if self.training_mode == "incremental":
-                    if self.grad_clip is not None:
-                        self._clip_gradients()
-                    self.optimizer.step()
-                total += loss_value
+            output = self.model(*inputs)
+            loss = self.loss_fn(output, target)
+            if self.training_mode == "incremental":
+                self.optimizer.zero_grad()
+                loss.backward(free_graph=self.free_graph)
+                if self.grad_clip is not None:
+                    self._clip_gradients()
+                self.optimizer.step()
             else:
-                output = self.model(*inputs)
-                loss = self.loss_fn(output, target)
-                if self.training_mode == "incremental":
-                    self.optimizer.zero_grad()
-                    loss.backward(free_graph=self.free_graph)
-                    if self.grad_clip is not None:
-                        self._clip_gradients()
-                    self.optimizer.step()
-                else:
-                    loss.backward(free_graph=self.free_graph)
-                total += loss.item()
+                loss.backward(free_graph=self.free_graph)
+            total += loss.item()
             batches += 1
             if profiler is not None:
                 profiler.step()
@@ -207,7 +172,6 @@ class Trainer:
         early_stopping: EarlyStopping | None = None,
         verbose: bool = False,
         profiler=None,
-        trace: bool | None = None,
     ) -> TrainingResult:
         """Train for up to ``epochs``, optionally early-stopping on
         validation loss.
@@ -217,18 +181,9 @@ class Trainer:
         the duration of the fit (and stopped again, even on error),
         and stepped once per batch so a wait/warmup/active schedule
         profiles steady-state steps.  A profiler the caller already
-        started (e.g. inside a ``with`` block) is left running.
-
-        ``trace=True`` records the first training step and replays the
-        compiled program on every later step with a matching input
-        signature — see :mod:`repro.tensor.trace` for the guard
-        conditions that fall back to eager.  ``trace=None`` (default)
-        reads the ``REPRO_TRACE`` environment variable ("1" enables),
-        so CI lanes can force the traced path without code changes."""
+        started (e.g. inside a ``with`` block) is left running."""
         from repro import obs
 
-        if trace is None:
-            trace = os.environ.get("REPRO_TRACE", "") not in ("", "0")
         owns_profiler = False
         if profiler is not None and not profiler._started:
             if profiler.model is None:
@@ -240,9 +195,7 @@ class Trainer:
             for epoch in range(epochs):
                 with obs.tracer.span("trainer.epoch") as span:
                     started = time.perf_counter()
-                    train_loss = self.train_epoch(
-                        train_loader, profiler=profiler, trace=trace
-                    )
+                    train_loss = self.train_epoch(train_loader, profiler=profiler)
                     elapsed = time.perf_counter() - started
                 span.set("epoch", epoch + 1)
                 span.set("train_loss", train_loss)

@@ -10,7 +10,6 @@ import time
 
 from repro.core.datasets.grid import Temperature
 from repro.core.training import Trainer
-from repro.data import DataLoader, random_split, sequential_split
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.grid_forecasting import (
     build_grid_model,

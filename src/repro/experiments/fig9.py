@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.core.datasets.base import RasterDataset
 from repro.core.datasets.synth import generate_classification_rasters
 from repro.core.models.raster import SatCNN

@@ -3,8 +3,6 @@ the classification/segmentation rows of Table VII (epoch time)."""
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.datasets.raster import Cloud38, EuroSAT, SAT6

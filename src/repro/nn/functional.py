@@ -62,13 +62,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, training: bool, rng=None) -> Tensor:
-    if not training or p <= 0.0:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1], got {p}")
+    if not training or p == 0.0:
         return x
-    from repro.tensor.trace import notify_trace_unsafe
+    if p == 1.0:
+        # Every unit dropped; the inverted-dropout rescale 1/(1-p)
+        # would be 0/0.
+        return x * Tensor(np.zeros_like(x.data))
     from repro.utils.rng import default_rng
 
-    # A trace would bake this step's random mask into every replay.
-    notify_trace_unsafe("dropout draws a fresh RNG mask per step")
     gen = default_rng(rng)
     keep = 1.0 - p
     mask = (gen.random(x.shape) < keep).astype(x.data.dtype) / keep

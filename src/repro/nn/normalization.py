@@ -35,11 +35,6 @@ class BatchNorm2d(Module):
                 f"expected {self.num_features} channels, got {x.shape[1]}"
             )
         if self.training:
-            from repro.tensor.trace import notify_trace_unsafe
-
-            # Running statistics mutate per step; a replayed program
-            # would neither update nor observe them.
-            notify_trace_unsafe("BatchNorm2d updates running stats per step")
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
             with np.errstate(all="ignore"):

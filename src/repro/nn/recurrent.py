@@ -11,7 +11,6 @@ the two paths produce bit-identical values and gradients (pinned by
 
 from __future__ import annotations
 
-from repro.nn import functional as F
 from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.nn.module import Module

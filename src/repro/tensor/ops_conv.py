@@ -26,16 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from importlib import import_module
-
 from repro.obs.profiler import op_span
 from repro.tensor.backend import ACCELERATED, get_backend
 from repro.tensor.pool import default_pool
 from repro.tensor.tensor import Tensor
-
-# The module object, not the same-named free function the package
-# re-exports: the ``_TRACE`` recording hook lives on the module.
-_tensor_mod = import_module("repro.tensor.tensor")
 
 
 def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -233,15 +227,7 @@ def conv2d(
                     x._accumulate(dxp, donate=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    ret = Tensor._make(out, parents, backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "conv2d",
-            parents,
-            (ret,),
-            {"stride": stride, "padding": padding, "activation": activation},
-        )
-    return ret
+    return Tensor._make(out, parents, backward)
 
 
 def conv_transpose2d(
@@ -323,15 +309,7 @@ def conv_transpose2d(
             pool.release(gfull)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    ret = Tensor._make(out, parents, backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "conv_transpose2d",
-            parents,
-            (ret,),
-            {"stride": stride, "padding": padding},
-        )
-    return ret
+    return Tensor._make(out, parents, backward)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
@@ -362,12 +340,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             x._accumulate(g.reshape(n, c, h, w))
             pool.release(mask)
 
-    ret = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "max_pool2d", (x,), (ret,), {"kernel": kernel, "stride": stride}
-        )
-    return ret
+    return Tensor._make(out, (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
@@ -394,12 +367,7 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
             )
             x._accumulate(g.reshape(n, c, h, w).copy(), donate=True)
 
-    ret = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "avg_pool2d", (x,), (ret,), {"kernel": kernel, "stride": stride}
-        )
-    return ret
+    return Tensor._make(out, (x,), backward)
 
 
 def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
@@ -414,12 +382,7 @@ def upsample_nearest2d(x: Tensor, scale: int) -> Tensor:
             g = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
             x._accumulate(g, donate=True)
 
-    ret = Tensor._make(out, (x,), backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "upsample_nearest2d", (x,), (ret,), {"scale": scale}
-        )
-    return ret
+    return Tensor._make(out, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

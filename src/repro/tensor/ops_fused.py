@@ -32,15 +32,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from importlib import import_module
-
 from repro.obs.profiler import op_span
 from repro.tensor.pool import default_pool
 from repro.tensor.tensor import Tensor
-
-# The module object, not the same-named free function the package
-# re-exports: the ``_TRACE`` recording hook lives on the module.
-_tensor_mod = import_module("repro.tensor.tensor")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -94,10 +88,7 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tenso
                     )
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    ret = Tensor._make(out, parents, backward)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record("fused_linear", parents, (ret,))
-    return ret
+    return Tensor._make(out, parents, backward)
 
 
 def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
@@ -174,11 +165,4 @@ def fused_lstm_gates(gates: Tensor, c: Tensor, hidden: int):
                 c_next._accumulate((dh * o) * (1.0 - t**2), donate=True)
 
     h_next = Tensor._make(h_data, (gates, c_next), backward_h)
-    if _tensor_mod._TRACE is not None:
-        _tensor_mod._TRACE.record(
-            "fused_lstm_gates",
-            (gates, c),
-            (h_next, c_next),
-            {"hidden": hidden},
-        )
     return h_next, c_next

@@ -28,8 +28,6 @@ collected as usual.  Access is process-wide through
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 _counters = None  # lazy (hit, miss, reject) counter triple
@@ -214,22 +212,3 @@ def default_pool() -> ArrayPool:
     """The process-wide pool used by the autograd runtime."""
     return _DEFAULT
 
-
-@contextlib.contextmanager
-def use_pool(pool: ArrayPool):
-    """Temporarily make ``pool`` the process-wide default.
-
-    Every ``default_pool()`` lookup inside the block — including the
-    ones buried in autograd closures — resolves to ``pool``, and the
-    previous default is restored on exit.  :class:`~repro.tensor.trace.
-    TracedProgram` replays under a small private pool this way so the
-    per-step gradient churn of a replayed step never changes the
-    residency of the shared pool.
-    """
-    global _DEFAULT
-    prev = _DEFAULT
-    _DEFAULT = pool
-    try:
-        yield pool
-    finally:
-        _DEFAULT = prev

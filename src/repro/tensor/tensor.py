@@ -21,11 +21,6 @@ from repro.tensor.pool import default_pool
 
 _grad_enabled = True
 
-# Active TraceRecorder (repro.tensor.trace), or None.  Ops report
-# themselves through the module-level hooks below while a TraceSession
-# is capturing a step; outside capture every hook is a None check.
-_TRACE = None
-
 _freed_counter = None  # lazy obs counter for autograd.freed_bytes
 
 
@@ -156,19 +151,12 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but outside the graph."""
-        out = Tensor(self.data, requires_grad=False)
-        if _TRACE is not None:
-            _TRACE.record("detach", (self,), (out,))
-        return out
+        return Tensor(self.data, requires_grad=False)
 
     def copy(self) -> "Tensor":
-        if _TRACE is not None:
-            _TRACE.abort("Tensor.copy() inside the traced region")
         return Tensor(self.data.copy(), requires_grad=False)
 
     def astype(self, dtype) -> "Tensor":
-        if _TRACE is not None:
-            _TRACE.abort("Tensor.astype() inside the traced region")
         return Tensor(self.data.astype(dtype), requires_grad=False)
 
     # ------------------------------------------------------------------
@@ -303,8 +291,6 @@ class Tensor:
         if not free_graph:
             for node in reversed(topo):
                 if node._backward is not None and node.grad is not None:
-                    if _TRACE is not None:
-                        _TRACE.note_backward(node)
                     node._backward(node.grad)
             return
 
@@ -313,8 +299,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 if node.grad is not None:
-                    if _TRACE is not None:
-                        _TRACE.note_backward(node)
                     node._backward(node.grad)
                 if node is root:
                     # The root stays readable (loss.item() after
@@ -337,11 +321,6 @@ class Tensor:
         if track:
             out._prev = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
-            if _TRACE is not None:
-                # Every graph node passes through here; the recorder
-                # aborts at finalize if an op it has no kernel for
-                # failed to claim its node via record().
-                _TRACE.saw(out)
         return out
 
     # ------------------------------------------------------------------
@@ -365,10 +344,7 @@ class Tensor:
                     g = _unbroadcast(grad, other.shape)
                     other._accumulate(g, donate=g is not grad)
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record("add", (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -383,10 +359,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(-grad, other.shape), donate=True)
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record("sub", (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -407,10 +380,7 @@ class Tensor:
                         _unbroadcast(grad * self.data, other.shape), donate=True
                     )
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record("mul", (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -429,10 +399,7 @@ class Tensor:
                     donate=True,
                 )
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record("div", (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
@@ -441,10 +408,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(-grad, donate=True)
 
-        out = Tensor._make(-self.data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("neg", (self,), (out,))
-        return out
+        return Tensor._make(-self.data, (self,), backward)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -456,10 +420,7 @@ class Tensor:
                 grad * exponent * self.data ** (exponent - 1), donate=True
             )
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("pow", (self,), (out,), {"exponent": exponent})
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -483,10 +444,7 @@ class Tensor:
                         g = np.swapaxes(self.data, -1, -2) @ grad
                     other._accumulate(_unbroadcast(np.asarray(g), other.shape))
 
-        out = Tensor._make(data, (self, other), backward)
-        if _TRACE is not None:
-            _TRACE.record("matmul", (self, other), (out,))
-        return out
+        return Tensor._make(data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable; return plain bool tensors)
@@ -516,10 +474,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad * data, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("exp", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def log(self):
         data = np.log(self.data)
@@ -527,10 +482,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad / self.data, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("log", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def sqrt(self):
         data = np.sqrt(self.data)
@@ -538,10 +490,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad * 0.5 / np.maximum(data, 1e-12), donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("sqrt", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def abs(self):
         data = np.abs(self.data)
@@ -549,10 +498,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad * np.sign(self.data), donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("abs", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def tanh(self):
         with op_span("tensor.tanh"):
@@ -562,10 +508,7 @@ class Tensor:
             with op_span("tensor.tanh.backward"):
                 self._accumulate(grad * (1.0 - data**2), donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("tanh", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def sigmoid(self):
         # Piecewise-stable logistic: never exponentiates a positive
@@ -582,10 +525,7 @@ class Tensor:
             with op_span("tensor.sigmoid.backward"):
                 self._accumulate(grad * data * (1.0 - data), donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("sigmoid", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def relu(self):
         mask = self.data > 0
@@ -594,10 +534,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad * mask, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("relu", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def clip(self, low, high):
         data = np.clip(self.data, low, high)
@@ -624,12 +561,7 @@ class Tensor:
                     np.broadcast_to(g, self.shape).copy(), donate=True
                 )
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(
-                "sum", (self,), (out,), {"axis": axis, "keepdims": keepdims}
-            )
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         if axis is None:
@@ -675,10 +607,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad.reshape(original))
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("reshape", (self,), (out,))
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def flatten(self, start_axis: int = 0):
         new_shape = self.shape[:start_axis] + (-1,)
@@ -695,10 +624,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(grad.transpose(inverse))
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("transpose", (self,), (out,), {"axes": axes})
-        return out
+        return Tensor._make(data, (self,), backward)
 
     @property
     def T(self):
@@ -715,10 +641,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(np.squeeze(grad, axis=axis))
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("expand_dims", (self,), (out,), {"axis": axis})
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def squeeze(self, axis: int):
         data = np.squeeze(self.data, axis=axis)
@@ -726,10 +649,7 @@ class Tensor:
         def backward(grad):
             self._accumulate(np.expand_dims(grad, axis))
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record("squeeze", (self,), (out,), {"axis": axis})
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def __getitem__(self, key):
         if isinstance(key, Tensor):
@@ -749,16 +669,7 @@ class Tensor:
                 np.add.at(full, key, grad)
             self._accumulate(full, donate=True)
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            if basic:
-                _TRACE.record("getitem", (self,), (out,), {"key": key})
-            else:
-                # Fancy index arrays may be data-dependent (gathers):
-                # baking them into a trace could silently replay stale
-                # indices, so refuse instead.
-                _TRACE.abort("fancy indexing inside the traced region")
-        return out
+        return Tensor._make(data, (self,), backward)
 
     def pad2d(self, pad_h: int, pad_w: int, value: float = 0.0):
         """Pad the last two axes symmetrically (NCHW convention)."""
@@ -772,15 +683,7 @@ class Tensor:
             sl = (Ellipsis, slice(pad_h, pad_h + h), slice(pad_w, pad_w + w))
             self._accumulate(grad[sl])
 
-        out = Tensor._make(data, (self,), backward)
-        if _TRACE is not None:
-            _TRACE.record(
-                "pad2d",
-                (self,),
-                (out,),
-                {"pad_h": pad_h, "pad_w": pad_w, "value": value},
-            )
-        return out
+        return Tensor._make(data, (self,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -792,41 +695,24 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    out = Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-    if _TRACE is not None and not requires_grad:
-        # Value depends only on shape, which the trace signature
-        # guards, so the array is safe to bake into the program
-        # (recurrent init_state zeros enter traces this way).
-        _TRACE.register_const(out)
-    return out
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    out = Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
-    if _TRACE is not None and not requires_grad:
-        _TRACE.register_const(out)
-    return out
+    return Tensor(np.ones(shape, dtype=dtype), requires_grad=requires_grad)
 
 
 def full(shape, value, requires_grad: bool = False, dtype=np.float32) -> Tensor:
-    out = Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
-    if _TRACE is not None and not requires_grad:
-        _TRACE.register_const(out)
-    return out
+    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
 
 
 def arange(*args, dtype=np.float32) -> Tensor:
-    out = Tensor(np.arange(*args, dtype=dtype))
-    if _TRACE is not None:
-        _TRACE.register_const(out)
-    return out
+    return Tensor(np.arange(*args, dtype=dtype))
 
 
 def randn(shape, rng=None, requires_grad: bool = False) -> Tensor:
     from repro.utils.rng import default_rng
 
-    if _TRACE is not None:
-        _TRACE.abort("randn() inside the traced region (RNG-dependent)")
     gen = default_rng(rng)
     return Tensor(
         gen.standard_normal(shape).astype(np.float32),
@@ -837,8 +723,6 @@ def randn(shape, rng=None, requires_grad: bool = False) -> Tensor:
 def rand(shape, rng=None, requires_grad: bool = False) -> Tensor:
     from repro.utils.rng import default_rng
 
-    if _TRACE is not None:
-        _TRACE.abort("rand() inside the traced region (RNG-dependent)")
     gen = default_rng(rng)
     return Tensor(
         gen.random(shape).astype(np.float32), requires_grad=requires_grad
@@ -859,10 +743,7 @@ def concatenate(tensors, axis: int = 0) -> Tensor:
                 sl[axis] = slice(start, stop)
                 t._accumulate(grad[tuple(sl)])
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _TRACE is not None:
-        _TRACE.record("concatenate", tuple(tensors), (out,), {"axis": axis})
-    return out
+    return Tensor._make(data, tuple(tensors), backward)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -876,10 +757,7 @@ def stack(tensors, axis: int = 0) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g)
 
-    out = Tensor._make(data, tuple(tensors), backward)
-    if _TRACE is not None:
-        _TRACE.record("stack", tuple(tensors), (out,), {"axis": axis})
-    return out
+    return Tensor._make(data, tuple(tensors), backward)
 
 
 def where(condition, a, b) -> Tensor:

@@ -4,10 +4,8 @@ The paper's end-to-end claim (Section V-C, YellowTrip-NYC): the
 preprocessing module's output trains grid models directly.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.datasets.grid import YellowTripNYC
 from repro.core.datasets.synth import generate_trip_records
 from repro.core.models.grid import PeriodicalCNN
 from repro.core.preprocessing.grid import STManager

@@ -13,7 +13,6 @@ import pytest
 from repro.engine import Session, col, lit, udf
 from repro.engine import plan as P
 from repro.engine.compile import (
-    CompiledExpr,
     StageRunner,
     compile_expr,
     compile_stages,

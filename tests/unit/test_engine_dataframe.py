@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine import Session, agg, col, lit, udf
+from repro.engine import Session, agg, col, lit
 from repro.engine.partition import Partition
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col
-from repro.engine.partition import Partition
 
 
 @pytest.fixture

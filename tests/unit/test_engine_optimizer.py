@@ -5,7 +5,7 @@ dtype policy, repartition metering)."""
 import numpy as np
 import pytest
 
-from repro.engine import Session, agg, col, lit, udf
+from repro.engine import Session, agg, col, udf
 from repro.engine import plan as P
 from repro.engine.optimizer import optimize, static_columns
 from repro.utils.memory import MemoryMeter

@@ -1,6 +1,5 @@
 """Logical plan nodes: labels, tree rendering, dispatch errors."""
 
-import numpy as np
 import pytest
 
 from repro.engine import Session, agg, col

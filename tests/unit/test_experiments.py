@@ -1,6 +1,5 @@
 """Experiment runners: config, formatting, and small invocations."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig

@@ -2,7 +2,6 @@
 runs in the benchmark)."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.fig9 import BAND_COUNTS, GRID_SIZES, epoch_time
 from repro.tensor import Tensor, use_backend

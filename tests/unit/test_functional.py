@@ -81,6 +81,30 @@ class TestDropoutFunctional:
         assert (x.grad[dropped] == 0).all()
         assert (x.grad[~dropped] == 2.0).all()
 
+    def test_p_one_drops_everything(self, rng):
+        x = Tensor(rng.random((4, 5), dtype=np.float32), requires_grad=True)
+        out = F.dropout(x, 1.0, training=True, rng=rng)
+        assert np.array_equal(out.data, np.zeros((4, 5), dtype=np.float32))
+        out.sum().backward()
+        assert np.array_equal(x.grad, np.zeros((4, 5), dtype=np.float32))
+
+    def test_module_p_one_drops_everything(self):
+        from repro.nn import Dropout
+
+        drop = Dropout(1.0)
+        drop.train()
+        out = drop(Tensor(np.ones((3, 3), dtype=np.float32)))
+        assert not np.isnan(out.data).any()
+        assert (out.data == 0).all()
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_p_out_of_range_rejected(self, p):
+        x = Tensor(np.ones(4, dtype=np.float32))
+        with pytest.raises(ValueError, match="dropout probability"):
+            F.dropout(x, p, training=True)
+        with pytest.raises(ValueError, match="dropout probability"):
+            F.dropout(x, p, training=False)
+
 
 class TestShapeHelpers:
     def test_pad2d_wrapper(self, rng):

@@ -78,6 +78,32 @@ class TestFreeGraph:
         assert counter.value > before
 
 
+class TestRetainGraphPrecedence:
+    def test_retain_graph_true_overrides_free_graph(self):
+        x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
+        y = (x * x).sum()
+        y.backward(free_graph=True, retain_graph=True)
+        assert np.array_equal(x.grad, np.array([4.0], dtype=np.float32))
+        # retain_graph=True wins over free_graph=True: the graph is
+        # still alive, so a second backward succeeds instead of
+        # raising the freed-graph RuntimeError.
+        y.backward(retain_graph=True)
+
+    def test_free_graph_alone_frees(self):
+        x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
+        y = (x * x).sum()
+        y.backward(free_graph=True)
+        with pytest.raises(RuntimeError):
+            y.backward(free_graph=True)
+
+    def test_retain_graph_false_frees_even_without_free_graph(self):
+        x = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
+        y = (x * x).sum()
+        y.backward(retain_graph=False)
+        with pytest.raises(RuntimeError):
+            y.backward(retain_graph=False)
+
+
 # ----------------------------------------------------------------------
 # ArrayPool
 # ----------------------------------------------------------------------
@@ -151,6 +177,47 @@ class TestArrayPool:
         hits_before = pool.hits
         run()
         assert pool.hits > hits_before
+
+
+class TestPoolStats:
+    def test_stats_fields_and_high_water(self):
+        pool = ArrayPool(max_per_key=2)
+        a = pool.acquire((4,), np.float32)
+        pool.release(a)
+        b = pool.acquire((4,), np.float32)  # hit
+        assert b is a
+        pool.release(b)
+        pool.release(np.ones(4, dtype=np.float32))  # depth 2 = high water
+        pool.release(np.ones(4, dtype=np.float32))  # over per-key cap
+        pool.release(np.ones((2, 2), dtype=np.float32)[:, :1])  # view
+        stats = pool.stats()
+        assert stats["hit_rate"] == pytest.approx(0.5)
+        assert stats["reject_per_key"] == 1
+        assert stats["reject_alias"] == 1
+        assert stats["reject_bytes"] == 0
+        assert stats["high_water_max"] == 2
+        assert stats["high_water"] == {"(4,):<f4": 2}
+
+    def test_reject_bytes_counted(self):
+        pool = ArrayPool(max_bytes=8)
+        pool.release(np.ones(64, dtype=np.float32))
+        assert pool.stats()["reject_bytes"] == 1
+
+    def test_default_pool_stats_exports_gauges(self):
+        from repro import obs
+        from repro.tensor.pool import default_pool
+
+        default_pool().stats()
+        gauges = obs.registry.snapshot()["gauges"]
+        for name in (
+            "tensor.pool.hit_rate",
+            "tensor.pool.bytes",
+            "tensor.pool.high_water_max",
+            "tensor.pool.reject_alias",
+            "tensor.pool.reject_bytes",
+            "tensor.pool.reject_per_key",
+        ):
+            assert name in gauges
 
 
 # ----------------------------------------------------------------------

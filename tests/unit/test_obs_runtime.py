@@ -474,48 +474,3 @@ class TestQueryProfiles:
             morsels = [s for s in spans if s.name == "engine.morsel"]
             assert any(s.thread_id != root.thread_id for s in morsels)
 
-
-class TestTraceReasonCounters:
-    def test_signature_mismatch_fallback_reason_counted(self):
-        from repro import nn
-        from repro.nn import functional as F
-        from repro.tensor import TraceSession, Tensor
-
-        rng = np.random.default_rng(0)
-        model = nn.Linear(6, 3, rng=rng)
-        session = TraceSession(model, F.mse_loss)
-
-        def step(n):
-            x = Tensor(rng.standard_normal((n, 6)).astype(np.float32))
-            y = Tensor(rng.standard_normal((n, 3)).astype(np.float32))
-            session.step((x,), y)
-            for p in model.parameters():
-                p.grad = None
-
-        step(4)  # capture
-        step(2)  # signature mismatch -> reason-tagged fallback
-        counters = obs.registry.snapshot()["counters"]
-        assert counters["tensor.trace.fallback.signature_mismatch"] == 1
-        assert counters["tensor.trace.fallback"] >= 1
-
-    def test_invalidate_reason_counted(self):
-        from repro import nn
-        from repro.nn import functional as F
-        from repro.tensor import TraceSession, Tensor
-
-        rng = np.random.default_rng(1)
-        model = nn.Linear(6, 3, rng=rng)
-        session = TraceSession(model, F.mse_loss)
-        x = Tensor(rng.standard_normal((4, 6)).astype(np.float32))
-        y = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
-        session.step((x,), y)
-        # swap a parameter identity: guard trips, trace invalidates
-        model.weight = type(model.weight)(model.weight.data.copy())
-        for p in model.parameters():
-            p.grad = None
-        session.step((x,), y)
-        counters = obs.registry.snapshot()["counters"]
-        assert (
-            counters["tensor.trace.invalidate.parameter_or_module_mode_change"]
-            == 1
-        )

@@ -1,6 +1,5 @@
 """STR-tree and grid spatial hash indexes."""
 
-import numpy as np
 import pytest
 
 from repro.geometry import Envelope, GridIndex, Point, STRTree
