@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo health check, eight gates:
 #   1. lint: scripts/lint.py (stdlib only) imports every repro module
-#      with warnings as errors and reports unused imports
+#      with warnings as errors and reports unused imports and
+#      undefined names
 #   2. tier-1: the full test suite (what the roadmap pins)
 #   3. fast lane: unit tests minus anything marked slow
 #   4. spill lane: the spill suites again under a forced
@@ -28,7 +29,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== lint: imports + unused imports =="
+echo "== lint: imports + unused imports + undefined names =="
 python scripts/lint.py
 
 echo "== tier-1: full suite =="

@@ -3,7 +3,7 @@
 
 Usage: python scripts/lint.py
 
-Two checks, both fatal:
+Three checks, all fatal:
 
 1. **Imports.**  Every ``repro.*`` module is imported with warnings
    turned into errors (as under ``python -W error``), so a module that
@@ -15,16 +15,22 @@ Two checks, both fatal:
    annotation.  An import whose line carries ``# noqa`` is skipped
    (re-exports that deliberately have no ``__all__`` entry mark
    themselves this way).
+3. **Undefined names.**  A ``symtable`` pass over the same files
+   reports each global name a file reads that no module-level binding,
+   ``global`` assignment or builtin defines.  Names inside annotations
+   are not checked, and a file with a star import is skipped.
 
-Exit status is 0 when both checks pass, 1 otherwise.
+Exit status is 0 when all checks pass, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
 import os
 import pkgutil
+import symtable
 import sys
 import warnings
 
@@ -125,6 +131,40 @@ def unused_imports(source: str, path: str = "<string>") -> list[tuple[int, str]]
     )
 
 
+#: Names every module has besides the builtins.
+_MODULE_NAMES = set(dir(builtins)) | {"__file__", "__path__", "__builtins__"}
+
+
+def undefined_names(source: str, path: str = "<string>") -> list[tuple[int, str]]:
+    """``(line, name)`` for every global name ``source`` reads but never
+    defines; the line is the name's first read."""
+    tree = ast.parse(source, path)
+    if any(
+        isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+        for node in ast.walk(tree)
+    ):
+        return []
+    top = symtable.symtable(source, path, "exec")
+    defined = set(_MODULE_NAMES)
+    read = set()
+    tables = [top]
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        for sym in table.get_symbols():
+            binds = sym.is_assigned() or sym.is_imported()
+            if binds and (table is top or sym.is_declared_global()):
+                defined.add(sym.get_name())
+            if sym.is_referenced() and sym.is_global():
+                read.add(sym.get_name())
+    missing = read - defined
+    first: dict = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in missing:
+            first[node.id] = min(node.lineno, first.get(node.id, node.lineno))
+    return sorted((line, name) for name, line in first.items())
+
+
 def iter_py_files():
     for path in LINTED_DIRS:
         for dirpath, dirnames, filenames in os.walk(os.path.join(ROOT, path)):
@@ -144,6 +184,8 @@ def main() -> int:
         rel = os.path.relpath(path, ROOT)
         for line, name in unused_imports(source, rel):
             failures.append(f"{rel}:{line}: unused import {name!r}")
+        for line, name in undefined_names(source, rel):
+            failures.append(f"{rel}:{line}: undefined name {name!r}")
     for failure in failures:
         print(failure)
     if failures:

@@ -7,8 +7,8 @@ ever held, never the input rows — this is the memory property Figure 8
 measures.
 
 Every aggregate here is *mergeable*: its per-partition partial is a
-fixed-size summary that a two-accumulator ``merge`` combines without
-seeing the input rows again.  That property is what the spill paths,
+fixed-size summary that merges into the running state without seeing
+the input rows again.  That property is what the spill paths,
 the morsel-parallel executor, and the incremental streaming layer
 (:mod:`repro.engine.streaming`) all rely on — and it is why ``var`` /
 ``std`` carry a Chan-style ``(mean, M2)`` pair instead of a naive
@@ -16,10 +16,11 @@ sum-of-squares (numerically unstable) or the raw values
 (non-mergeable), and why ``count_distinct`` carries the value *set*
 rather than a count (counts of distinct values do not add).
 
-:class:`ArrayGroupState` is the vectorized form of that merge — whole
+:class:`ArrayGroupState` is the one form of that merge — whole
 accumulator arrays combined with ``np.unique`` + scatter updates, one
-merge per partition.  Both the batch group-by executor and the
-streaming ``DeltaState`` run *this exact class*, which is what makes
+merge per partition.  Both the batch group-by executor (which
+dictionary-encodes object keys to int64 codes first) and the streaming
+``DeltaState`` run *this exact class*, which is what makes
 incrementally maintained results bit-identical to a from-scratch
 recompute over the same partition boundaries: the two paths execute
 the same float operations in the same order by construction.
@@ -94,117 +95,10 @@ def count_distinct(column: str, name: str | None = None) -> AggSpec:
     return AggSpec(name or f"count_distinct_{column}", column, "count_distinct")
 
 
-def _chan_merge(na, ma, m2a, nb, mb, m2b):
-    """Chan et al. pairwise combination of two (count, mean, M2)
-    moment summaries.  Exact pass-through when one side is empty, so
-    merging a partial into a fresh accumulator reproduces the partial
-    bit for bit."""
-    if na == 0:
-        return mb, m2b
-    if nb == 0:
-        return ma, m2a
-    n = na + nb
-    delta = mb - ma
-    mean = ma + delta * (nb / n)
-    m2 = m2a + m2b + delta * delta * (na * (nb / n))
-    return mean, m2
-
-
-class _State:
-    """Per-group mergeable accumulator for one AggSpec.
-
-    ``value`` holds the kind-specific partial summary: the running sum
-    for ``sum``/``mean``, the extremum for ``min``/``max``, a
-    ``(mean, M2)`` moment pair for ``var``/``std``, and the set of
-    seen values for ``count_distinct``.
-    """
-
-    __slots__ = ("kind", "value", "count")
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.value = None
-        self.count = 0
-
-    def update(self, partial_value, partial_count: int) -> None:
-        if self.kind == "count":
-            self.count += partial_count
-            return
-        if self.kind == "count_distinct":
-            self.count += partial_count
-            if self.value is None:
-                self.value = set(partial_value)
-            else:
-                self.value |= set(partial_value)
-            return
-        if self.kind in ("var", "std"):
-            mb, m2b = partial_value
-            if self.value is None:
-                self.value = (mb, m2b)
-            else:
-                ma, m2a = self.value
-                self.value = _chan_merge(
-                    self.count, ma, m2a, partial_count, mb, m2b
-                )
-            self.count += partial_count
-            return
-        self.count += partial_count
-        if self.value is None:
-            self.value = partial_value
-        elif self.kind in ("sum", "mean"):
-            self.value += partial_value
-        elif self.kind == "min":
-            self.value = min(self.value, partial_value)
-        elif self.kind == "max":
-            self.value = max(self.value, partial_value)
-
-    def merge(self, other: "_State") -> None:
-        """Fold another accumulator of the same kind into this one —
-        the two-accumulator combine the spill / parallel / streaming
-        paths need (``update`` takes a *partial*, this takes a peer)."""
-        if other.kind != self.kind:
-            raise ValueError(
-                f"cannot merge {other.kind!r} state into {self.kind!r}"
-            )
-        if other.count == 0 and other.value is None:
-            return
-        self.update(other.value, other.count)
-
-    def result(self):
-        if self.kind == "count":
-            return self.count
-        if self.kind == "count_distinct":
-            return len(self.value) if self.value is not None else 0
-        if self.kind == "mean":
-            return self.value / self.count if self.count else float("nan")
-        if self.kind in ("var", "std"):
-            if self.count < 2:
-                return float("nan")
-            variance = self.value[1] / (self.count - 1)
-            return float(np.sqrt(variance)) if self.kind == "std" else variance
-        return self.value
-
-
-def _group_index_lists(stacked: np.ndarray):
-    groups: dict = {}
-    for i in range(stacked.shape[0]):
-        key = tuple(stacked[i])
-        groups.setdefault(key, []).append(i)
-    uniques = list(groups)
-    idx_lists = [np.asarray(groups[k]) for k in uniques]
-    return uniques, idx_lists
-
-
-def _moment_partial(vals: np.ndarray, inverse: np.ndarray, counts):
-    """Per-group (mean, M2) pairs via the same two-pass bincount the
-    vectorized group state uses, so dict-path partials merge with
-    array-path partials bit for bit."""
-    num_groups = len(counts)
-    sums = np.bincount(inverse, weights=vals, minlength=num_groups)
-    means = sums / counts
-    dev = vals - means[inverse]
-    m2 = np.bincount(inverse, weights=dev * dev, minlength=num_groups)
-    return means, m2
+#: The one NaN object every count_distinct set holds: set membership
+#: tests identity before equality, so NaN counts once (``np.unique``'s
+#: rule) instead of once per row.
+_NAN = float("nan")
 
 
 def _distinct_sets(vals: np.ndarray, inverse: np.ndarray, num_groups: int):
@@ -212,70 +106,16 @@ def _distinct_sets(vals: np.ndarray, inverse: np.ndarray, num_groups: int):
     order = np.argsort(inverse, kind="stable")
     sorted_inverse = inverse[order]
     sorted_vals = vals[order]
+    values = sorted_vals.tolist()
+    for i in np.flatnonzero(np.isnan(sorted_vals)).tolist():
+        values[i] = _NAN
     boundaries = np.flatnonzero(np.diff(sorted_inverse)) + 1
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [len(sorted_vals)]))
     sets = [set() for _ in range(num_groups)]
     for g, start, stop in zip(sorted_inverse[starts], starts, stops):
-        sets[g] = set(sorted_vals[start:stop].tolist())
+        sets[g] = set(values[start:stop])
     return sets
-
-
-def partial_aggregate(keys_arrays, value_array, kind: str):
-    """Vectorized per-partition partial aggregation.
-
-    Returns (unique_key_rows, partial_values, partial_counts) where
-    ``unique_key_rows`` is a list of key tuples and each partial value
-    is in the form :meth:`_State.update` accepts for ``kind``.
-    """
-    stacked = np.stack(
-        [np.asarray(k) for k in keys_arrays], axis=1
-    )
-    if stacked.dtype == object:
-        # Fallback: dict-based grouping for non-numeric keys.
-        uniques, idx_lists = _group_index_lists(stacked)
-        counts = np.array([len(ix) for ix in idx_lists])
-        if kind == "count":
-            return uniques, counts.astype(np.float64), counts
-        vals = np.asarray(value_array, dtype=np.float64)
-        if kind in ("sum", "mean"):
-            partial = np.array([vals[ix].sum() for ix in idx_lists])
-        elif kind == "min":
-            partial = np.array([vals[ix].min() for ix in idx_lists])
-        elif kind == "max":
-            partial = np.array([vals[ix].max() for ix in idx_lists])
-        elif kind in ("var", "std"):
-            inverse = np.empty(len(vals), dtype=np.int64)
-            for g, ix in enumerate(idx_lists):
-                inverse[ix] = g
-            means, m2 = _moment_partial(vals, inverse, counts)
-            partial = list(zip(means, m2))
-        else:
-            partial = [set(vals[ix].tolist()) for ix in idx_lists]
-        return uniques, partial, counts
-
-    unique_rows, inverse, counts = np.unique(
-        stacked, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = np.reshape(inverse, -1)
-    uniques = [tuple(row) for row in unique_rows]
-    if kind == "count":
-        return uniques, counts.astype(np.float64), counts
-    vals = np.asarray(value_array, dtype=np.float64)
-    if kind in ("sum", "mean"):
-        partial = np.bincount(inverse, weights=vals, minlength=len(uniques))
-    elif kind == "min":
-        partial = np.full(len(uniques), np.inf)
-        np.minimum.at(partial, inverse, vals)
-    elif kind == "max":
-        partial = np.full(len(uniques), -np.inf)
-        np.maximum.at(partial, inverse, vals)
-    elif kind in ("var", "std"):
-        means, m2 = _moment_partial(vals, inverse, counts)
-        partial = list(zip(means, m2))
-    else:
-        partial = _distinct_sets(vals, inverse, len(uniques))
-    return uniques, partial, counts
 
 
 # ----------------------------------------------------------------------
@@ -302,11 +142,29 @@ def unique_rows(rows: np.ndarray, return_counts: bool = False):
     return uniques, inverse
 
 
-def empty_group_partition(keys, specs):
+def _key_column(values, dtype) -> np.ndarray:
+    """One output key column; integer keys come out int64.  ``dtype``
+    is the key's dtype over the whole input."""
+    arr = np.asarray(values)
+    if dtype.kind in "iu":
+        return arr.astype(np.int64)
+    return arr
+
+
+def empty_group_partition(keys, specs, key_dtypes):
+    """A zero-group output with the schema a non-empty one would have:
+    key columns as :func:`_key_column` builds them (float64 when the
+    key dtypes are unknown), int64 counts, float64 otherwise."""
     from repro.engine.partition import Partition
 
-    cols = {k: np.empty(0) for k in keys}
-    cols.update({s.out_name: np.empty(0) for s in specs})
+    key_dtypes = key_dtypes or [np.dtype(np.float64)] * len(keys)
+    cols = {
+        k: _key_column(np.empty(0, dtype=dt), dt)
+        for k, dt in zip(keys, key_dtypes)
+    }
+    for s in specs:
+        counted = s.kind in ("count", "count_distinct")
+        cols[s.out_name] = np.empty(0, np.int64 if counted else np.float64)
     return Partition(cols)
 
 
@@ -315,7 +173,7 @@ class ArrayGroupState:
     ``np.unique`` + scatter updates — one vectorized merge per
     partition instead of one Python dict update per key.
 
-    ``values[i]`` mirrors :class:`_State` per spec: a float64 array for
+    ``values[i]`` holds each spec's partial: a float64 array for
     sum/mean/min/max, a ``(means, m2s)`` array pair for var/std, an
     object array of Python sets for count_distinct, ``None`` for count
     (the shared ``counts`` array is its state).
@@ -365,15 +223,21 @@ class ArrayGroupState:
                 partial = np.bincount(
                     inverse, weights=vals, minlength=len(uniques)
                 )
+            elif spec.kind in ("var", "std"):
+                # Two-pass per-group (mean, M2).
+                sums = np.bincount(inverse, weights=vals, minlength=len(uniques))
+                means = sums / counts
+                dev = vals - means[inverse]
+                partial = means, np.bincount(
+                    inverse, weights=dev * dev, minlength=len(uniques)
+                )
             elif spec.kind == "min":
                 partial = np.full(len(uniques), np.inf)
                 np.minimum.at(partial, inverse, vals)
             elif spec.kind == "max":
                 partial = np.full(len(uniques), -np.inf)
                 np.maximum.at(partial, inverse, vals)
-            elif spec.kind in ("var", "std"):
-                partial = _moment_partial(vals, inverse, counts)
-            else:
+            elif spec.kind == "count_distinct":
                 partial = np.empty(len(uniques), dtype=object)
                 partial[:] = _distinct_sets(vals, inverse, len(uniques))
             partials.append(partial)
@@ -446,8 +310,7 @@ class ArrayGroupState:
         merged_keys, old_map, new_map, old_counts, counts, old, partial
     ):
         """Vectorized Chan merge of (mean, M2) pairs at ``new_map``;
-        groups unseen before take the incoming partial bit for bit
-        (same exactness rule as the scalar :func:`_chan_merge`)."""
+        groups unseen before take the incoming partial bit for bit."""
         means = np.zeros(len(merged_keys))
         m2s = np.zeros(len(merged_keys))
         if old is not None:
@@ -507,37 +370,23 @@ class ArrayGroupState:
         )
         return evicted
 
-    def to_dict_state(self) -> dict:
-        """Convert to the dict-of-accumulators form (used when a later
-        partition turns out to carry object keys)."""
-        state: dict = {}
-        for g in range(self.num_groups):
-            slot = [_State(s.kind) for s in self.specs]
-            for spec_index, spec in enumerate(self.specs):
-                value = self.values[spec_index]
-                if spec.kind == "count":
-                    partial = None
-                elif spec.kind in ("var", "std"):
-                    partial = (value[0][g], value[1][g])
-                elif spec.kind == "count_distinct":
-                    partial = value[g]
-                else:
-                    partial = value[g]
-                slot[spec_index].update(partial, int(self.counts[g]))
-            state[tuple(self.keys[g])] = slot
-        return state
-
-    def to_partition(self, keys, key_dtypes):
+    def to_partition(self, keys, key_dtypes, decode=None):
+        """Finalize as one partition.  A state keyed by dictionary
+        codes passes ``decode``, the key tuple of each code in code
+        order, to get the original key columns back."""
         from repro.engine.partition import Partition
 
         if self.keys is None:
-            return empty_group_partition(keys, self.specs)
-        columns = {}
-        for i, key_name in enumerate(keys):
-            arr = self.keys[:, i]
-            if key_dtypes is not None and key_dtypes[i].kind in "iu":
-                arr = arr.astype(np.int64)
-            columns[key_name] = arr
+            return empty_group_partition(keys, self.specs, key_dtypes)
+        if decode is None:
+            key_values = [self.keys[:, i] for i in range(len(keys))]
+        else:
+            rows = [decode[code] for code in self.keys[:, 0].tolist()]
+            key_values = [[row[i] for row in rows] for i in range(len(keys))]
+        columns = {
+            name: _key_column(values, dtype)
+            for name, values, dtype in zip(keys, key_values, key_dtypes)
+        }
         for spec_index, spec in enumerate(self.specs):
             value = self.values[spec_index]
             if spec.kind == "count":

@@ -13,8 +13,9 @@ the build side's (possibly multi-column) keys into dense integer codes
 once, then probes each left partition with ``searchsorted`` range
 lookups — no per-row Python.  Group-by keeps per-group accumulator
 *arrays* and merges each partition's partial aggregates with
-``np.unique`` + scatter updates; a dict-of-accumulators fallback
-handles non-sortable object keys.
+``np.unique`` + scatter updates; object keys (strings, geometries)
+are first dictionary-encoded to int64 codes, so every key type runs
+that one state.
 
 A :class:`~repro.utils.memory.MemoryMeter` passed via ``meter``
 observes exactly these allocations, which is how the Figure 8 bench
@@ -42,12 +43,7 @@ from collections import deque
 import numpy as np
 
 from repro.engine import plan as P
-from repro.engine.aggregates import (
-    ArrayGroupState,
-    _State,
-    empty_group_partition,
-    partial_aggregate,
-)
+from repro.engine.aggregates import ArrayGroupState
 from repro.engine.partition import Partition
 
 
@@ -362,7 +358,7 @@ def _run_limit(node: P.Limit, ctx: _ExecContext):
 
 
 # ----------------------------------------------------------------------
-# Group-by: array-level partial merges (dict fallback for object keys)
+# Group-by: array-level partial merges over numeric or encoded keys
 # ----------------------------------------------------------------------
 # The vectorized per-group state (ArrayGroupState) lives in
 # repro.engine.aggregates: the streaming DeltaState persists the same
@@ -371,41 +367,39 @@ def _run_limit(node: P.Limit, ctx: _ExecContext):
 def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
     meter = ctx.meter
     keys = node.keys
-    specs = node.aggs
-    array_state = ArrayGroupState(specs)
-    dict_state: dict | None = None  # object-key fallback
-    key_dtypes = None
+    state = ArrayGroupState(node.aggs)
+    # Object keys are dictionary-encoded: key tuple -> int64 code in
+    # first-seen order, so the state groups on one code column and the
+    # output keeps first-seen key order.
+    codes: dict | None = None
+    code_nbytes = 64 + 24 * len(keys)  # dict slot + key tuple (~24B/elem)
+    key_dtypes: dict | None = None
     state_nbytes = 0
-
-    for part in ctx.iterate(node.child):
-        if part.num_rows == 0:
-            if key_dtypes is None and all(k in part.columns for k in keys):
-                key_dtypes = [part.columns[k].dtype for k in keys]
-            continue
-        key_arrays = [part.columns[k] for k in keys]
-        if key_dtypes is None:
-            key_dtypes = [arr.dtype for arr in key_arrays]
-        stacked = np.stack([np.asarray(a) for a in key_arrays], axis=1)
-        if dict_state is None and stacked.dtype != object:
-            array_state.update(stacked, part)
-        else:
-            if dict_state is None:
-                dict_state = array_state.to_dict_state()
-            _update_dict_state(dict_state, key_arrays, part, specs)
-        if meter is not None:
-            if dict_state is not None:
-                new_nbytes = _estimate_state_nbytes(dict_state, len(specs))
+    try:
+        for part in ctx.iterate(node.child):
+            if part.num_rows == 0 and not all(k in part.columns for k in keys):
+                continue
+            key_dtypes = _accumulate_dtypes(key_dtypes, part.select(keys))
+            if part.num_rows == 0:
+                continue
+            key_arrays = [part.columns[k] for k in keys]
+            if codes is None and any(a.dtype == object for a in key_arrays):
+                codes = _start_key_codes(state)
+            if codes is None:
+                state.update(np.stack(key_arrays, axis=1), part)
             else:
-                new_nbytes = array_state.nbytes
-            meter.allocate(new_nbytes - state_nbytes)
-            state_nbytes = new_nbytes
-
-    if dict_state is not None:
-        out = _state_to_partition(dict_state, keys, key_dtypes, specs)
-    else:
-        out = array_state.to_partition(keys, key_dtypes)
+                state.update(_encode_keys(codes, key_arrays), part)
+            if meter is not None:
+                new_nbytes = state.nbytes + len(codes or ()) * code_nbytes
+                meter.allocate(new_nbytes - state_nbytes)
+                state_nbytes = new_nbytes
+        dtypes = None if key_dtypes is None else [key_dtypes[k] for k in keys]
+        decode = None if codes is None else list(codes)
+        out = state.to_partition(keys, dtypes, decode)
+    finally:
+        if meter is not None:
+            meter.release(state_nbytes)
     if meter is not None:
-        meter.release(state_nbytes)
         meter.allocate(out.nbytes)
     try:
         yield out
@@ -414,41 +408,26 @@ def _run_group_by(node: P.GroupByAgg, ctx: _ExecContext):
             meter.release(out.nbytes)
 
 
-def _update_dict_state(state, key_arrays, part, specs) -> None:
-    for spec_index, spec in enumerate(specs):
-        values = None if spec.column == "*" else part.columns[spec.column]
-        uniques, partials, counts = partial_aggregate(
-            key_arrays, values, spec.kind
-        )
-        for key, partial, cnt in zip(uniques, partials, counts):
-            slot = state.get(key)
-            if slot is None:
-                slot = [_State(s.kind) for s in specs]
-                state[key] = slot
-            slot[spec_index].update(partial, int(cnt))
+def _start_key_codes(state: ArrayGroupState) -> dict:
+    """Switch ``state`` to code keys: its sorted key rows so far (from
+    numeric partitions) become codes 0..G-1."""
+    if state.keys is None:
+        return {}
+    codes = {tuple(row): g for g, row in enumerate(state.keys.tolist())}
+    state.keys = np.arange(len(codes), dtype=np.int64)[:, None]
+    return codes
 
 
-def _estimate_state_nbytes(state: dict, num_specs: int) -> int:
-    # key tuple (~24B/elem) + accumulator objects (~56B each) + dict slot
-    return len(state) * (64 + 24 * 2 + 56 * num_specs)
-
-
-def _state_to_partition(state, keys, key_dtypes, specs) -> Partition:
-    if not state:
-        return empty_group_partition(keys, specs)
-    key_rows = list(state.keys())
-    columns = {}
-    for i, key_name in enumerate(keys):
-        values = [row[i] for row in key_rows]
-        arr = np.asarray(values)
-        if key_dtypes is not None and key_dtypes[i].kind in "iu":
-            arr = arr.astype(np.int64)
-        columns[key_name] = arr
-    for spec_index, spec in enumerate(specs):
-        columns[spec.out_name] = np.asarray(
-            [state[row][spec_index].result() for row in key_rows]
-        )
-    return Partition(columns)
+def _encode_keys(codes: dict, key_arrays: list) -> np.ndarray:
+    """The (n, 1) int64 code column of the key rows; unseen key
+    tuples take the next code."""
+    rows = zip(*(arr.tolist() for arr in key_arrays))
+    encoded = np.fromiter(
+        (codes.setdefault(row, len(codes)) for row in rows),
+        dtype=np.int64,
+        count=len(key_arrays[0]),
+    )
+    return encoded[:, None]
 
 
 # ----------------------------------------------------------------------

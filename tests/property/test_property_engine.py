@@ -117,3 +117,43 @@ def test_join_with_self_keys(frame):
     rows = df.join(right, on="k").collect()
     assert len(rows) == len(keys)  # every row matches exactly once
     assert all(r["tag"] == r["k"] * 10 for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.one_of(
+                st.floats(min_value=-100, max_value=100, allow_nan=False),
+                st.just(float("nan")),
+            ),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+def test_object_keys_match_int_keys_bitwise(rows, parts):
+    """Object keys are dictionary-encoded onto the int64-key state, so
+    every aggregate kind gives the same bits as the int64 labels."""
+    keys = np.asarray([k for k, _ in rows], dtype=np.int64)
+    values = np.asarray([v for _, v in rows], dtype=np.float64)
+    specs = [
+        agg.count(name="n"), agg.sum_("v", "s"), agg.min_("v", "lo"),
+        agg.max_("v", "hi"), agg.mean("v", "m"), agg.var_("v", "var"),
+        agg.std_("v", "sd"), agg.count_distinct("v", "cd"),
+    ]
+    session = Session(default_parallelism=parts)
+    outs = []
+    for labels in (keys, keys.astype(object)):
+        df = session.create_dataframe({"k": labels, "v": values})
+        with np.errstate(invalid="ignore"):
+            out = df.group_by("k").agg(*specs).to_columns()
+        order = np.argsort(out["k"].astype(np.int64), kind="stable")
+        outs.append({name: arr[order] for name, arr in out.items()})
+    as_int, as_object = outs
+    assert as_int["k"].tolist() == as_object["k"].tolist()
+    for spec in specs:
+        name = spec.out_name
+        assert as_int[name].tobytes() == as_object[name].tobytes(), spec.kind

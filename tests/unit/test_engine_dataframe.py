@@ -160,16 +160,44 @@ class TestGroupBy:
 
     def test_object_keys(self, session):
         out = session.create_dataframe(
-            {"k": np.array(["a", "b", "a"], dtype=object), "v": [1.0, 2.0, 3.0]}
+            {"k": np.array(["b", "a", "b"], dtype=object), "v": [1.0, 2.0, 3.0]}
         )
-        rows = out.group_by("k").agg(agg.sum_("v", "s")).collect()
-        result = {r["k"]: r["s"] for r in rows}
-        assert result == {"a": 4.0, "b": 2.0}
+        cols = out.group_by("k").agg(agg.sum_("v", "s")).to_columns()
+        # First-seen key order; object strings come out as a <U column.
+        assert cols["k"].tolist() == ["b", "a"]
+        assert cols["k"].dtype.kind == "U"
+        assert cols["s"].tolist() == [4.0, 2.0]
+
+    def test_mixed_key_dtypes(self, session):
+        ints = session.create_dataframe(
+            {"k": np.array([1, 2, 1]), "v": [1.0, 2.0, 3.0]}
+        )
+        objs = session.create_dataframe(
+            {"k": np.array(["x", 1], dtype=object), "v": [5.0, 7.0]}
+        )
+        union = ints.union(objs)
+        whole = session.create_dataframe(union.to_columns(), num_partitions=1)
+
+        def rows(df):
+            cols = df.group_by("k").agg(agg.sum_("v", "s")).to_columns()
+            return sorted(zip(cols["k"].tolist(), cols["s"].tolist()))
+
+        assert rows(union) == rows(whole) == [("1", 11.0), ("2", 2.0), ("x", 5.0)]
 
     def test_empty_group_by(self, session):
         out = session.create_dataframe({"k": np.empty(0, dtype=np.int64),
                                         "v": np.empty(0)})
         assert out.group_by("k").count().count() == 0
+        cols = (
+            out.filter(col("v") > 100)
+            .group_by("k")
+            .agg(agg.count(), agg.count_distinct("v"), agg.sum_("v"))
+            .to_columns()
+        )
+        assert cols["k"].dtype == np.int64
+        assert cols["count"].dtype == np.int64
+        assert cols["count_distinct_v"].dtype == np.int64
+        assert cols["sum_v"].dtype == np.float64
 
     def test_requires_key_and_spec(self, df):
         with pytest.raises(ValueError):

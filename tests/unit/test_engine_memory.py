@@ -1,9 +1,11 @@
 """Memory accounting: the meter and the engine's streaming property."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.engine import Session, agg, col
+from repro.engine import Session, agg, col, udf
 from repro.utils.memory import (
     MemoryBudgetExceeded,
     MemoryMeter,
@@ -99,4 +101,22 @@ class TestEngineStreaming:
         session = Session(default_parallelism=4, meter=meter)
         df = session.create_dataframe({"x": np.arange(1000)})
         df.count()
+        assert meter.current == 0
+
+    def test_groupby_releases_state_when_input_raises(self):
+        meter = MemoryMeter()
+        session = Session(default_parallelism=4, meter=meter)
+        df = session.create_dataframe({"k": np.arange(40) % 3, "v": np.ones(40)})
+        calls = []
+
+        def flaky(v):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("third partition fails")
+            return v * 2
+
+        grouped = df.with_column("w", udf(flaky, ["v"])).group_by("k")
+        with pytest.raises(RuntimeError, match="third partition"):
+            grouped.agg(agg.sum_("w")).collect()
+        gc.collect()
         assert meter.current == 0

@@ -1,4 +1,4 @@
-"""The unused-import pass of ``scripts/lint.py``."""
+"""The unused-import and undefined-name passes of ``scripts/lint.py``."""
 
 import importlib.util
 import os
@@ -30,6 +30,26 @@ _spec.loader.exec_module(lint)
 )
 def test_unused_imports(source, expected):
     assert lint.unused_imports(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f():\n    return missing + 1\n", [(2, "missing")]),
+        ("class C:\n    x = 1\n    y = x + nope\n", [(3, "nope")]),
+        ("import os\nx = [os.sep for _ in range(2)]\nprint(len(x))\n", []),
+        ("def f():\n    global g\n    g = 1\n\ndef h():\n    return g\n", []),
+        ("def f():\n    n = 1\n    return lambda: n + __file__\n", []),
+        ("from os import *\nx = sep\n", []),
+        (
+            "from __future__ import annotations\n"
+            "def f(a: Unseen) -> None:\n    return a\n",
+            [],
+        ),
+    ],
+)
+def test_undefined_names(source, expected):
+    assert lint.undefined_names(source) == expected
 
 
 def test_repo_modules_import_cleanly():
