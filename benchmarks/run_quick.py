@@ -6,9 +6,8 @@ Standalone (no pytest) so CI and future PRs can diff keyed timings:
     python benchmarks/run_quick.py
 
 Keys: the vectorized vs per-row 50k x 50k key join, a 500k-row
-group-by, the optimizer on/off prune-heavy workload, the compiled
-expression-stage pipeline vs the interpreter (plus 2-thread morsel
-scaling), the out-of-core order_by under a memory budget (peak bytes
+group-by, the optimizer on/off prune-heavy workload, the out-of-core
+order_by under a memory budget (peak bytes
 + spill slowdown), incremental streaming maintenance (delta
 aggregates + in-place grid-tensor updates) vs full recomputation at
 three backlog sizes, the Figure 8 tensor-preparation leg, and a small
@@ -229,7 +228,7 @@ def bench_obs_runtime(n: int = 400_000, parts: int = 8) -> dict:
             pass
         return time.perf_counter() - started
 
-    drain()  # warm (compile the stage, touch the data once)
+    drain()  # warm (optimize and memoize the plan, touch the data once)
 
     directory = tempfile.mkdtemp(prefix="repro-obs-bench-")
     runtime = TelemetryRuntime(directory, interval_s=0.05)
@@ -418,80 +417,6 @@ def bench_convlstm_runtime() -> dict:
         "convlstm_speedup": ref_s / fused_s,
         **peaks,
         "tensor_pool": default_pool().stats(),
-    }
-
-
-def bench_expr_pipeline(n: int = 400_000, parts: int = 8) -> dict:
-    """Compiled-stage execution on a fused Filter -> Project ->
-    WithColumn pipeline, plus morsel-parallel scaling.
-
-    Keys (gated by scripts/diff_bench.py):
-
-    - ``expr_pipeline_speedup`` — one fused CompiledStage (postfix
-      programs, pooled scratch, selection-vector compaction) vs the
-      tree-walking interpreter (``Session(compile=False)``), same
-      plan, interleaved best-of-N.  Results are asserted bit-identical
-      before timing.
-    - ``parallel_scaling_2t`` — serial wall time over
-      ``Session(parallelism=2)`` wall time for the same pipeline.  On
-      a multi-core host numpy ufuncs release the GIL and this exceeds
-      1; on a single-core container thread switching makes it ~1.0 or
-      slightly below — the honest measured value is recorded either
-      way.
-    """
-    rng = np.random.default_rng(17)
-    data = {
-        "a": rng.integers(0, 1_000, n).astype(np.int64),
-        "b": rng.uniform(-1, 1, n),
-        "c": rng.uniform(0, 10, n),
-    }
-
-    def pipeline(session: Session):
-        df = session.create_dataframe(data, num_partitions=parts)
-        return (
-            df.filter((col("b") > -0.5) & (col("a") % 7 != 0))
-            .with_column("x", col("b") * col("c") + col("a"))
-            .with_column("y", col("x") * 0.5 - col("c"))
-            .select("a", "x", "y")
-        )
-
-    compiled_df = pipeline(Session(default_parallelism=parts))
-    interp_df = pipeline(Session(default_parallelism=parts, compile=False))
-    two_df = pipeline(Session(default_parallelism=parts, parallelism=2))
-
-    # Bit-identity across all three paths (doubles as warmup).
-    ref = interp_df.to_columns()
-    for candidate in (compiled_df, two_df):
-        out = candidate.to_columns()
-        for name in ref:
-            assert out[name].dtype == ref[name].dtype
-            assert np.array_equal(out[name], ref[name]), (
-                "compiled pipeline diverged from the interpreter"
-            )
-
-    def drain(df) -> float:
-        started = time.perf_counter()
-        for _ in df.iter_partitions():
-            pass
-        return time.perf_counter() - started
-
-    with obs.disabled():  # measure the engine, not the metering
-        repeats = 7
-        compiled_s = interp_s = two_thread_s = float("inf")
-        for _ in range(repeats):
-            compiled_s = min(compiled_s, drain(compiled_df))
-            interp_s = min(interp_s, drain(interp_df))
-            two_thread_s = min(two_thread_s, drain(two_df))
-
-    return {
-        "expr_pipeline_rows": n,
-        "expr_pipeline_compiled_s": compiled_s,
-        "expr_pipeline_interpreted_s": interp_s,
-        "expr_pipeline_speedup": interp_s / compiled_s,
-        "expr_pipeline_2t_s": two_thread_s,
-        "parallel_scaling_2t": compiled_s / two_thread_s,
-        # Context for the scaling number: >1 needs >1 core.
-        "parallel_scaling_cpu_count": os.cpu_count(),
     }
 
 
@@ -707,7 +632,6 @@ def main() -> dict:
         bench_obs_runtime,
         bench_train_overhead,
         bench_convlstm_runtime,
-        bench_expr_pipeline,
         bench_spill,
         bench_streaming,
         bench_fig8_leg,

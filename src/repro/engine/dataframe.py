@@ -9,6 +9,7 @@ from repro.engine.aggregates import AggSpec
 from repro.engine.executor import iter_partitions, plan_column_names
 from repro.engine.expressions import Column, Expr
 from repro.engine.partition import Partition
+from repro.utils.validation import check_non_negative, check_positive
 
 
 class DataFrame:
@@ -22,7 +23,7 @@ class DataFrame:
     def __init__(self, session, plan_node: P.PlanNode):
         self.session = session
         self.plan = plan_node
-        self._plan_cache: dict = {}
+        self._optimized: P.PlanNode | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -39,12 +40,10 @@ class DataFrame:
         the plan after the rule-based optimizer has rewritten it.
 
         With ``analyze=True``, *execute* the plan (as the session
-        would run it, optimizer and stage compiler included) and
-        render the executed tree annotated with live per-operator
-        statistics — rows in/out, partitions, cumulative wall time,
-        the largest partition each operator emitted, and for compiled
-        stages the pure compute time and rows/sec (Spark's ``EXPLAIN
-        ANALYZE``)."""
+        would run it, optimizer included) and render the executed tree
+        annotated with live per-operator statistics — rows in/out,
+        partitions, cumulative wall time, and the largest partition
+        each operator emitted (Spark's ``EXPLAIN ANALYZE``)."""
         if analyze:
             from repro.obs import PlanStats
 
@@ -54,8 +53,6 @@ class DataFrame:
                 plan,
                 meter=self.session.meter,
                 stats=stats,
-                parallelism=self.session.parallelism,
-                queue_depth=self.session.queue_depth,
                 spill=self.session.spill_manager,
             ):
                 pass
@@ -63,15 +60,11 @@ class DataFrame:
             return "== Analyzed Plan ==\n" + stats.render(plan)
         if not optimized:
             return self.plan.describe()
-        from repro.engine.optimizer import optimize as _optimize
-
         return (
             "== Logical Plan ==\n"
             + self.plan.describe()
             + "\n== Optimized Plan ==\n"
-            + _optimize(
-                self.plan, stages=getattr(self.session, "compile", True)
-            ).describe()
+            + self._execution_plan(optimize=True).describe()
         )
 
     def __repr__(self):
@@ -118,7 +111,9 @@ class DataFrame:
         return self._wrap(P.Union([self.plan, other.plan]))
 
     def limit(self, n: int) -> "DataFrame":
-        return self._wrap(P.Limit(self.plan, int(n)))
+        """Keep the first ``n`` rows (``n >= 0``)."""
+        n = check_non_negative(int(n), "limit")
+        return self._wrap(P.Limit(self.plan, n))
 
     def group_by(self, *keys) -> "GroupedDataFrame":
         """Start a grouped aggregation."""
@@ -131,9 +126,12 @@ class DataFrame:
 
     def order_by(self, *keys, ascending: bool = True) -> "DataFrame":
         """Globally sort (materializing operator)."""
+        if not keys:
+            raise ValueError("order_by needs at least one key")
         return self._wrap(P.OrderBy(self.plan, list(keys), ascending))
 
     def repartition(self, num_partitions: int) -> "DataFrame":
+        check_positive(num_partitions, "num_partitions")
         return self._wrap(P.Repartition(self.plan, num_partitions))
 
     def map_partitions(self, fn, label: str = "map_partitions") -> "DataFrame":
@@ -152,29 +150,21 @@ class DataFrame:
     # Actions (eager)
     # ------------------------------------------------------------------
     def _execution_plan(self, optimize: bool | None = None) -> P.PlanNode:
-        """The plan actually executed: optimized (and narrow chains
-        collapsed into compiled stages, unless ``Session(compile=
-        False)``) — or exactly as written when optimization is turned
-        off on the call or the session.
+        """The plan actually executed: optimized, or exactly as written
+        when optimization is turned off on the call or the session.
 
         The optimized plan is memoized per DataFrame: plans are
-        immutable, and reusing the same physical tree across actions
-        keeps compiled-stage state (dtype records, scratch pools,
-        literal caches) warm for repeated executions such as
-        per-epoch iteration."""
+        immutable, so repeated actions (e.g. per-epoch iteration) skip
+        re-optimizing."""
         if optimize is None:
             optimize = getattr(self.session, "optimize", True)
         if not optimize:
             return self.plan
-        stages = getattr(self.session, "compile", True)
-        plan = self._plan_cache.get(stages)
-        if plan is None:
+        if self._optimized is None:
             from repro.engine.optimizer import optimize as _optimize
 
-            plan = self._plan_cache[stages] = _optimize(
-                self.plan, stages=stages
-            )
-        return plan
+            self._optimized = _optimize(self.plan)
+        return self._optimized
 
     def iter_partitions(self, optimize: bool | None = None):
         """Stream result partitions (the out-of-core access path used
@@ -193,8 +183,6 @@ class DataFrame:
             return iter_partitions(
                 plan,
                 meter=self.session.meter,
-                parallelism=self.session.parallelism,
-                queue_depth=self.session.queue_depth,
                 spill=self.session.spill_manager,
             )
         return self._observed_partitions(plan)
@@ -212,19 +200,15 @@ class DataFrame:
         obs.registry.counter("engine.queries").inc()
         # The query span stays open on the driver stack while the
         # consumer pulls partitions, so every span opened during
-        # execution — operators, spill I/O, and (via the captured
-        # parent in _morsel_map) worker-thread morsels — nests under
-        # it: one connected tree per query.
+        # execution — operators and spill I/O — nests under it: one
+        # connected tree per query.
         span = obs.tracer.start_span("engine.query")
         span.set("query_id", query_id)
-        span.set("parallelism", session.parallelism)
         try:
             yield from iter_partitions(
                 plan,
                 meter=session.meter,
                 stats=stats,
-                parallelism=session.parallelism,
-                queue_depth=session.queue_depth,
                 spill=session.spill_manager,
             )
         finally:
@@ -241,7 +225,7 @@ class DataFrame:
 
         With ``profile=<path>``, also write a self-contained query
         profile artifact (JSON: query id, session config, plan text,
-        per-operator stats incl. compile/spill flags, and the query's
+        per-operator stats incl. spill totals, and the query's
         span tree) after the run — requires the observability layer to
         be enabled.  See docs/OBSERVABILITY.md for the schema."""
         if profile is not None:
@@ -276,26 +260,19 @@ class DataFrame:
         operators = stats.to_dict(plan)
         flat: list[dict] = [operators]
         spilled = 0
-        compiled = False
         for node in flat:
             flat.extend(node.get("children", ()))
             spilled += node.get("spilled_bytes", 0)
-            if node["operator"].startswith("CompiledStage"):
-                compiled = True
         span = session.last_query_span
         payload = {
             "schema_version": SCHEMA_VERSION,
             "query_id": session.last_query_id,
             "session": {
-                "parallelism": session.parallelism,
-                "queue_depth": session.queue_depth,
                 "optimize": session.optimize,
-                "compile": session.compile,
                 "memory_budget": session.memory_budget,
                 "default_parallelism": session.default_parallelism,
             },
             "plan": plan.describe().splitlines(),
-            "compiled": compiled,
             "spilled": spilled > 0,
             "spilled_bytes": spilled,
             "operators": operators,

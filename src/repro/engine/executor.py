@@ -21,24 +21,9 @@ A :class:`~repro.utils.memory.MemoryMeter` passed via ``meter``
 observes exactly these allocations, which is how the Figure 8 bench
 measures the engine's peak working set (and how an artificial memory
 cap can make it fail, for symmetry with the baseline's OOM).
-
-**Morsel-parallel mode** (``parallelism > 1``): compiled stages
-(:class:`~repro.engine.plan.CompiledStage`) fan their per-partition
-work out over a bounded ``ThreadPoolExecutor`` — numpy ufuncs release
-the GIL, so stage compute runs concurrently while the driver thread
-keeps pulling child partitions.  Results flow through an *ordered*
-bounded prefetch window (``queue_depth`` in-flight partitions), so
-output order is deterministic, bit-identical to serial execution, and
-the out-of-core guarantee degrades gracefully to
-O(parallelism + queue_depth) resident partitions.  All other
-operators, and all metering, stay on the driver thread — worker
-threads only ever run pure per-partition compute.
 """
 
 from __future__ import annotations
-
-import time
-from collections import deque
 
 import numpy as np
 
@@ -49,30 +34,15 @@ from repro.engine.partition import Partition
 
 class _ExecContext:
     """Per-execution state threaded through the operator tree: the
-    memory meter, the PlanStats observer, the session's SpillManager
-    (out-of-core execution), and the (lazily created) morsel thread
-    pool."""
+    memory meter, the PlanStats observer, and the session's
+    SpillManager (out-of-core execution)."""
 
-    __slots__ = (
-        "meter",
-        "stats",
-        "parallelism",
-        "queue_depth",
-        "spill",
-        "_pool",
-    )
+    __slots__ = ("meter", "stats", "spill")
 
-    def __init__(self, meter, stats, parallelism, queue_depth, spill=None):
+    def __init__(self, meter, stats, spill=None):
         self.meter = meter
         self.stats = stats
-        self.parallelism = max(1, int(parallelism))
-        self.queue_depth = (
-            max(1, int(queue_depth))
-            if queue_depth is not None
-            else 2 * self.parallelism
-        )
         self.spill = spill
-        self._pool = None
 
     def spill_budget(self):
         """The session memory budget, or None when spilling is off."""
@@ -91,30 +61,8 @@ class _ExecContext:
             return _iter_node(node, self)
         return self.stats.observe(node, _iter_node(node, self))
 
-    def pool(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
 
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix="repro-morsel",
-            )
-        return self._pool
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-
-def iter_partitions(
-    node: P.PlanNode,
-    meter=None,
-    stats=None,
-    parallelism: int = 1,
-    queue_depth: int | None = None,
-    spill=None,
-):
+def iter_partitions(node: P.PlanNode, meter=None, stats=None, spill=None):
     """Yield the partitions produced by a plan node.
 
     ``stats`` (a :class:`repro.obs.PlanStats`) meters every operator
@@ -125,30 +73,13 @@ def iter_partitions(
     their contents, so traced results are bit-identical to untraced
     ones.
 
-    ``parallelism`` > 1 enables morsel-parallel execution of compiled
-    stages over a thread pool with an ordered prefetch window of
-    ``queue_depth`` (default ``2 * parallelism``) in-flight
-    partitions; results are identical to serial execution.
-
     ``spill`` (a :class:`repro.engine.spill.SpillManager` with a
     ``budget``) enables out-of-core execution: the materializing
     operators — order_by, repartition, the join build side, cache —
     bound their in-memory state to the budget and spill the rest to
     disk, producing bit-identical results.
     """
-    ctx = _ExecContext(meter, stats, parallelism, queue_depth, spill)
-    if ctx.parallelism <= 1:
-        return ctx.iterate(node)
-    return _iterate_closing(node, ctx)
-
-
-def _iterate_closing(node: P.PlanNode, ctx: _ExecContext):
-    """Parallel top-level entry: guarantee the worker pool dies with
-    the generator, even when the consumer stops early."""
-    try:
-        yield from ctx.iterate(node)
-    finally:
-        ctx.close()
+    return _ExecContext(meter, stats, spill).iterate(node)
 
 
 def _iter_node(node: P.PlanNode, ctx: _ExecContext):
@@ -156,8 +87,6 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
         yield from _run_source(node, ctx)
     elif isinstance(node, P.StreamingSource):
         yield from _run_streaming_source(node, ctx)
-    elif isinstance(node, P.CompiledStage):
-        yield from _run_compiled_stage(node, ctx)
     elif isinstance(node, P.Project):
         for part in ctx.iterate(node.child):
             yield Partition(
@@ -203,73 +132,6 @@ def _iter_node(node: P.PlanNode, ctx: _ExecContext):
         yield from _run_cache(node, ctx)
     else:
         raise TypeError(f"unknown plan node {type(node).__name__}")
-
-
-def _run_compiled_stage(node: P.CompiledStage, ctx: _ExecContext):
-    from repro.engine.compile import stage_runner
-
-    runner = stage_runner(node)
-    stats = ctx.stats
-    if stats is None:
-        apply = runner
-    else:
-        # Record pure compute time (excluding child pulls and queue
-        # waits) so explain(analyze=True) can report per-stage
-        # rows/sec.  add_work is thread-safe: in parallel mode this
-        # runs on worker threads.
-        perf_counter = time.perf_counter
-
-        def apply(part, _runner=runner):
-            started = perf_counter()
-            out = _runner(part)
-            stats.add_work(node, perf_counter() - started)
-            return out
-
-    parts = ctx.iterate(node.child)
-    if ctx.parallelism > 1:
-        yield from _morsel_map(apply, parts, ctx)
-    else:
-        for part in parts:
-            yield apply(part)
-
-
-def _morsel_map(fn, parts, ctx: _ExecContext):
-    """Ordered, bounded fan-out: submit up to ``queue_depth`` morsels,
-    yield strictly in submission order.  FIFO completion keeps results
-    bit-identical to serial execution; the bound keeps at most
-    O(parallelism + queue_depth) partitions resident.
-
-    Trace context crosses the fan-out: the driver's current span is
-    captured here and passed as the explicit parent of each
-    worker-side ``engine.morsel`` span, so a parallel query still
-    yields one connected span tree (the morsel spans land under the
-    driver's ``engine.query`` span even though they time on
-    ``repro-morsel-*`` threads)."""
-    from repro import obs
-
-    tracer = obs.tracer
-    parent = tracer.current if tracer.enabled else None
-    if parent is not None:
-        inner = fn
-
-        def fn(part, _inner=inner, _parent=parent):
-            with tracer.span("engine.morsel", parent=_parent) as span:
-                out = _inner(part)
-                span.add("rows", out.num_rows)
-                return out
-
-    pool = ctx.pool()
-    pending: deque = deque()
-    try:
-        for part in parts:
-            pending.append(pool.submit(fn, part))
-            if len(pending) >= ctx.queue_depth:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def _run_cache(node: P.Cache, ctx: _ExecContext):
@@ -347,13 +209,14 @@ def _run_streaming_source(node: P.StreamingSource, ctx: _ExecContext):
 def _run_limit(node: P.Limit, ctx: _ExecContext):
     remaining = node.n
     for part in ctx.iterate(node.child):
-        if remaining <= 0:
-            return
-        if part.num_rows <= remaining:
+        if part.num_rows < remaining:
             remaining -= part.num_rows
             yield part
         else:
-            yield part.take(remaining)
+            # The partition that reaches the limit ends the scan.  With
+            # ``limit(0)`` that is a zero-row slice of the first
+            # partition, which still carries the column dtypes.
+            yield part if part.num_rows == remaining else part.take(remaining)
             return
 
 
@@ -1578,17 +1441,4 @@ def plan_column_names(node: P.PlanNode) -> list[str]:
         return plan_column_names(node.child)  # best effort
     if isinstance(node, P.Cache):
         return plan_column_names(node.child)
-    if isinstance(node, P.CompiledStage):
-        names = plan_column_names(node.child)
-        for kind, payload in node.steps:
-            if kind == "project":
-                names = [name for name, _ in payload]
-            elif kind == "with_columns":
-                for name, _ in payload:
-                    if name not in names:
-                        names = names + [name]
-            elif kind == "drop":
-                dropped = set(payload)
-                names = [n for n in names if n not in dropped]
-        return names
     raise TypeError(f"unknown plan node {type(node).__name__}")

@@ -7,12 +7,6 @@ import numpy as np
 from repro.engine.partition import Partition
 
 
-class CompileError(TypeError):
-    """Raised when an expression tree cannot be lowered to a flat
-    postfix program (unknown node type, non-ufunc operator).  The
-    stage compiler catches it and keeps the interpreted path."""
-
-
 class Expr:
     """Base expression node.  Supports arithmetic/comparison operators
     that build larger expressions, PySpark-style:
@@ -44,16 +38,6 @@ class Expr:
         expressions in ``mapping`` (names absent from the mapping are
         left as-is)."""
         return self
-
-    def emit(self, program: list) -> None:
-        """Append this node's flat postfix instructions to ``program``
-        (see :mod:`repro.engine.compile` for the instruction set).
-        Subclasses that cannot be lowered raise :class:`CompileError`,
-        which makes the stage compiler fall back to tree-walking
-        interpretation for the whole chain."""
-        raise CompileError(
-            f"{type(self).__name__} has no postfix lowering"
-        )
 
     # -- operator sugar -------------------------------------------------
     def _binary(self, other, fn, symbol):
@@ -140,9 +124,6 @@ class Column(Expr):
     def substitute(self, mapping: dict) -> Expr:
         return mapping.get(self.name, self)
 
-    def emit(self, program: list) -> None:
-        program.append(("col", self.name))
-
     def __repr__(self):
         return f"col({self.name!r})"
 
@@ -160,9 +141,6 @@ class Literal(Expr):
             out[:] = self.value
             return out
         return np.full(partition.num_rows, self.value)
-
-    def emit(self, program: list) -> None:
-        program.append(("lit", self.value))
 
     def __repr__(self):
         return self.name
@@ -193,13 +171,6 @@ class BinaryOp(Expr):
             self.symbol,
         )
 
-    def emit(self, program: list) -> None:
-        if not isinstance(self.fn, np.ufunc):
-            raise CompileError(f"binary op {self.symbol!r} is not a ufunc")
-        self.left.emit(program)
-        self.right.emit(program)
-        program.append(("ufunc", self.fn, 2))
-
     def __repr__(self):
         return self.name
 
@@ -223,12 +194,6 @@ class UnaryOp(Expr):
     def substitute(self, mapping: dict) -> Expr:
         return UnaryOp(self.operand.substitute(mapping), self.fn, self.symbol)
 
-    def emit(self, program: list) -> None:
-        if not isinstance(self.fn, np.ufunc):
-            raise CompileError(f"unary op {self.symbol!r} is not a ufunc")
-        self.operand.emit(program)
-        program.append(("ufunc", self.fn, 1))
-
     def __repr__(self):
         return self.name
 
@@ -249,9 +214,6 @@ class Alias(Expr):
 
     def substitute(self, mapping: dict) -> Expr:
         return Alias(self.inner.substitute(mapping), self.name)
-
-    def emit(self, program: list) -> None:
-        self.inner.emit(program)
 
     def __repr__(self):
         return f"{self.inner!r}.alias({self.name!r})"
@@ -280,11 +242,6 @@ class VectorUdf(Expr):
             [expr.substitute(mapping) for expr in self.inputs],
             name=self.name,
         )
-
-    def emit(self, program: list) -> None:
-        for expr in self.inputs:
-            expr.emit(program)
-        program.append(("udf", self.fn, len(self.inputs), self.name))
 
     def evaluate(self, partition: Partition) -> np.ndarray:
         args = [expr.evaluate(partition) for expr in self.inputs]

@@ -49,26 +49,13 @@ from repro.engine.expressions import Alias, BinaryOp, Column, Expr, Literal
 _MAX_PASSES = 25
 
 
-def optimize(node: P.PlanNode, stages: bool = False) -> P.PlanNode:
-    """Return an optimized, semantically equivalent plan.
-
-    With ``stages=True`` the logical rewrite is followed by the
-    physical-planning rule from :mod:`repro.engine.compile`: every
-    maximal run of adjacent Filter/Project/WithColumn/Drop operators
-    collapses into one :class:`~repro.engine.plan.CompiledStage`
-    (flat-postfix expression programs, selection-vector filtering).
-    The executor runs those stages — optionally morsel-parallel — with
-    results bit-identical to the interpreted operators."""
+def optimize(node: P.PlanNode) -> P.PlanNode:
+    """Return an optimized, semantically equivalent plan."""
     node = _rewrite(node)
     node = _prune(node, None)
     # Pruning inserts narrowing projections; fuse/push once more so
     # e.g. Project∘Project collapses and filters slide below them.
-    node = _rewrite(node)
-    if stages:
-        from repro.engine.compile import compile_stages
-
-        node = compile_stages(node)
-    return node
+    return _rewrite(node)
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +148,7 @@ def _rewrite(node: P.PlanNode) -> P.PlanNode:
 
 
 def _rewrite_pass(node: P.PlanNode):
-    if isinstance(node, (P.Source, P.StreamingSource, P.Cache, P.CompiledStage)):
-        # CompiledStage only appears when optimizing an already
-        # physically-planned tree; treat it as a barrier like Cache.
+    if isinstance(node, (P.Source, P.StreamingSource, P.Cache)):
         # StreamingSource is a leaf whose node instance must be
         # preserved — it accumulates batches across executions.
         return node, False
@@ -492,9 +477,6 @@ def _prune(node: P.PlanNode, required: list | None) -> P.PlanNode:
     if isinstance(node, P.MapPartitions):
         # Opaque function: it may read (or emit) anything.
         return P.MapPartitions(_prune(node.child, None), node.fn, node.label)
-
-    if isinstance(node, P.CompiledStage):
-        return node  # physical node: already planned, leave untouched
 
     if isinstance(node, P.GroupByAgg):
         if required is None:

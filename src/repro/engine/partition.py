@@ -48,8 +48,8 @@ class Partition:
     @classmethod
     def _from_arrays(cls, columns: dict, num_rows: int) -> "Partition":
         """Wrap already-validated numpy arrays without re-checking
-        lengths (hot path: the compiled stage runner builds every
-        output partition through here)."""
+        lengths (hot path: the join, sort and spill operators build
+        their output partitions through here)."""
         part = cls.__new__(cls)
         part.columns = columns
         part.num_rows = num_rows

@@ -29,21 +29,6 @@ class Session:
         Run the rule-based logical-plan optimizer before executing
         (default on).  Turn off for ablation benchmarks or to debug a
         plan exactly as written.
-    compile:
-        Collapse narrow operator chains into compiled stages
-        (:mod:`repro.engine.compile`) before executing (default on;
-        requires ``optimize``).  Turn off to benchmark or debug the
-        tree-walking interpreted path — results are bit-identical
-        either way.
-    parallelism:
-        Worker threads for morsel-parallel execution of compiled
-        stages (default 1 = serial).  Stage compute runs inside numpy
-        ufuncs, which release the GIL, so values up to the machine's
-        core count scale near-linearly on expression-bound pipelines.
-    queue_depth:
-        Bound on in-flight morsels per stage (default
-        ``2 * parallelism``); caps resident partitions at
-        O(parallelism + queue_depth) in parallel mode.
     memory_budget:
         Soft cap (bytes) on what the *materializing* operators —
         ``order_by``, ``repartition``, the join build side, ``cache``
@@ -64,16 +49,10 @@ class Session:
         default_parallelism: int = 4,
         meter: MemoryMeter | None = None,
         optimize: bool = True,
-        compile: bool = True,
-        parallelism: int = 1,
-        queue_depth: int | None = None,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
     ):
         check_positive(default_parallelism, "default_parallelism")
-        check_positive(parallelism, "parallelism")
-        if queue_depth is not None:
-            check_positive(queue_depth, "queue_depth")
         if memory_budget is None:
             env = os.environ.get("REPRO_TEST_MEMORY_BUDGET")
             if env:
@@ -83,9 +62,6 @@ class Session:
         self.default_parallelism = default_parallelism
         self.meter = meter
         self.optimize = optimize
-        self.compile = compile
-        self.parallelism = parallelism
-        self.queue_depth = queue_depth
         self.memory_budget = memory_budget
         self.spill_dir = spill_dir
         self._spill_manager = None

@@ -23,8 +23,7 @@ temp dir (or ``Session(spill_dir=...)``), removed by
 ``Session.close()`` / context-manager exit, and — via
 ``weakref.finalize`` — at interpreter exit even when nobody closed the
 session.  A failed write cleans up its partial files and leaves the
-manager usable; restores are thread-safe (``Session(parallelism=N)``
-morsel workers may restore concurrently).
+manager usable; restores are thread-safe.
 
 **Accounting.**  All activity is counted both on the manager
 (``bytes_written`` / ``bytes_restored`` / ``files_written`` /

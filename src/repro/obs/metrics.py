@@ -11,10 +11,10 @@ updates, guarded by the module-wide enabled flag
 partition / batch / epoch — never per row.
 
 Instruments are thread-safe: every mutation takes a per-instrument
-lock, so morsel-parallel stage workers (see ``repro.engine.executor``)
-can record concurrently without losing increments.  Reads
-(``.value``, ``summary()``) stay lock-free — a snapshot taken mid-run
-may be one update stale, never corrupt.
+lock, so the telemetry flusher (:mod:`repro.obs.runtime`) and the
+threads it races can record concurrently without losing increments.
+Reads (``.value``, ``summary()``) stay lock-free — a snapshot taken
+mid-run may be one update stale, never corrupt.
 """
 
 from __future__ import annotations

@@ -19,11 +19,6 @@ Semantics worth pinning down:
   ``rows_out``.  For a leaf (Source) it is not shown.
 - A node that was never pulled (e.g. below an exhausted ``Limit``)
   still renders, with zero partitions.
-- ``work_s`` is *pure compute* time, reported only by operators that
-  measure it themselves (compiled stages).  Unlike ``elapsed_s`` it is
-  summed across morsel-parallel workers, so with N threads it can
-  exceed wall time; ``add_work`` is the one cross-thread entry point
-  and takes a lock.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ class NodeStats:
         "partitions",
         "elapsed_s",
         "peak_partition_bytes",
-        "work_s",
         "spilled_bytes",
     )
 
@@ -50,7 +44,6 @@ class NodeStats:
         self.partitions = 0
         self.elapsed_s = 0.0
         self.peak_partition_bytes = 0
-        self.work_s = 0.0
         self.spilled_bytes = 0
 
 
@@ -68,16 +61,9 @@ class PlanStats:
                 stats = self._by_id.setdefault(id(plan_node), NodeStats())
         return stats
 
-    def add_work(self, plan_node, seconds: float) -> None:
-        """Credit pure compute time to an operator.  Thread-safe: this
-        is the only PlanStats method morsel workers call."""
-        stats = self.node(plan_node)
-        with self._lock:
-            stats.work_s += seconds
-
     def add_spill(self, plan_node, nbytes: int) -> None:
         """Credit bytes a materializing operator spilled to disk under
-        a memory budget.  Thread-safe, same contract as add_work."""
+        a memory budget.  Thread-safe."""
         stats = self.node(plan_node)
         with self._lock:
             stats.spilled_bytes += nbytes
@@ -108,9 +94,8 @@ class PlanStats:
         """The annotated tree ``explain(analyze=True)`` prints.
 
         Field order is fixed (rows_in, rows_out, partitions, time,
-        peak_part_bytes, then work/rows_per_s when the operator
-        reported compute time) so golden tests only need to mask
-        times.
+        peak_part_bytes, then spilled when the operator spilled) so
+        golden tests only need to mask times.
         """
         pad = "  " * indent
         stats = self._by_id.get(id(plan_node))
@@ -130,11 +115,6 @@ class PlanStats:
             fields.append(f"partitions={stats.partitions}")
             fields.append(f"time={stats.elapsed_s * 1000.0:.3f}ms")
             fields.append(f"peak_part_bytes={stats.peak_partition_bytes}")
-            if stats.work_s > 0:
-                fields.append(f"work={stats.work_s * 1000.0:.3f}ms")
-                fields.append(
-                    f"rows_per_s={stats.rows_out / stats.work_s:.0f}"
-                )
             if stats.spilled_bytes > 0:
                 fields.append(f"spilled={stats.spilled_bytes}")
             line = f"{pad}{plan_node._label()}  ({' '.join(fields)})"
@@ -157,8 +137,6 @@ class PlanStats:
             out["partitions"] = stats.partitions
             out["elapsed_s"] = stats.elapsed_s
             out["peak_partition_bytes"] = stats.peak_partition_bytes
-            if stats.work_s > 0:
-                out["work_s"] = stats.work_s
             if stats.spilled_bytes > 0:
                 out["spilled_bytes"] = stats.spilled_bytes
         children = [self.to_dict(c) for c in getattr(plan_node, "children", ())]
@@ -188,8 +166,6 @@ class PlanStats:
             registry.counter(f"{prefix}.rows_out").inc(stats.rows_out)
             registry.counter(f"{prefix}.partitions").inc(stats.partitions)
             registry.counter(f"{prefix}.seconds").inc(stats.elapsed_s)
-            if stats.work_s > 0:
-                registry.counter(f"{prefix}.work_seconds").inc(stats.work_s)
             if stats.spilled_bytes > 0:
                 registry.counter(f"{prefix}.spilled_bytes").inc(
                     stats.spilled_bytes

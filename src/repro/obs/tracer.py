@@ -10,8 +10,8 @@ overhead beyond one attribute check.
 
 Trace context crosses threads.  Every span carries a process-unique
 ``span_id`` plus its parent's id, and the tracer keeps one nesting
-stack *per thread*, so morsel-pool workers (``repro-morsel-*``), spill
-I/O, and DataLoader fetches each nest correctly on their own thread.
+stack *per thread*, so spans opened on a worker thread (the telemetry
+flusher, a caller's own pool) nest correctly on that thread.
 To attach a worker-side span to a driver-side parent, capture the
 driver span (``tracer.current``) before the fan-out and pass it as
 ``tracer.span(name, parent=captured)`` — the child lands in the

@@ -1,17 +1,16 @@
-"""Property tests: compiled execution is bit-identical to the
-tree-walking interpreter.
+"""Property tests: optimized expression pipelines are bit-identical to
+the plan as written.
 
-Every test builds the same pipeline twice — once with
-``Session(compile=True)`` (default; stages fused and run through
-``CompiledExpr``), once with ``compile=False`` (pure interpreter) —
-and asserts dtype *and* value equality with ``array_equal``, not
-``isclose``: the compiled path must produce the exact same bits,
+Every test builds the same pipeline twice — once with ``Session()``
+(default; the optimizer fuses, pushes down and prunes the narrow
+operators), once with ``Session(optimize=False)`` (the plan exactly as
+written) — and asserts dtype *and* value equality with ``array_equal``,
+not ``isclose``: the rewritten plan must produce the exact same bits,
 including NaN/inf patterns from division by zero, NEP-50 promotion
 results, and object-dtype comparison outputs.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,14 +33,7 @@ def mixed_frames(draw):
         draw(st.lists(st.booleans(), min_size=n, max_size=n)),
         draw(st.lists(words, min_size=n, max_size=n)),
         draw(st.integers(min_value=1, max_value=4)),  # partitions
-        draw(st.integers(min_value=1, max_value=3)),  # parallelism
     )
-
-
-def _sessions(parts, parallelism):
-    compiled = Session(default_parallelism=parts, parallelism=parallelism)
-    interpreted = Session(default_parallelism=parts, compile=False)
-    return compiled, interpreted
 
 
 def _data(i, f, b, s):
@@ -63,16 +55,16 @@ def assert_frames_identical(left: dict, right: dict):
 
 
 def run_both(frame, build):
-    i, f, b, s, parts, parallelism = frame
-    compiled_session, interpreted_session = _sessions(parts, parallelism)
+    i, f, b, s, parts = frame
     data = _data(i, f, b, s)
-    compiled = build(
-        compiled_session.create_dataframe(data, num_partitions=parts)
-    ).to_columns()
-    interpreted = build(
-        interpreted_session.create_dataframe(data, num_partitions=parts)
-    ).to_columns()
-    assert_frames_identical(compiled, interpreted)
+    optimized, as_written = (
+        build(
+            Session(default_parallelism=parts, optimize=optimize)
+            .create_dataframe(data, num_partitions=parts)
+        ).to_columns()
+        for optimize in (True, False)
+    )
+    assert_frames_identical(optimized, as_written)
 
 
 @settings(max_examples=40, deadline=None)
@@ -86,15 +78,11 @@ def test_arithmetic_chain_identical(frame):
     )
 
 
-# np.errstate is thread-local, so a morsel worker can emit the divide
-# warning even when the driver suppresses it; values are unaffected.
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(mixed_frames())
 def test_division_by_zero_identical(frame):
     """0/0 -> nan, x/0 -> ±inf: the exact NaN/inf pattern must match
-    the interpreter."""
+    the plan as written."""
     def build(df):
         with np.errstate(divide="ignore", invalid="ignore"):
             return df.with_column("q", col("f") / col("i")).select("q")
@@ -107,7 +95,7 @@ def test_division_by_zero_identical(frame):
 @given(mixed_frames())
 def test_int_bool_promotion_identical(frame):
     """int64 + bool and bool * float promotions must come out with the
-    interpreter's dtypes (full-array NEP-50 semantics)."""
+    same dtypes either way (full-array NEP-50 semantics)."""
     run_both(
         frame,
         lambda df: df.with_column("ib", col("i") + col("b"))
@@ -139,7 +127,8 @@ def test_eq_ne_predicates_identical(frame):
 @settings(max_examples=40, deadline=None)
 @given(mixed_frames())
 def test_filter_project_withcolumn_fusion_identical(frame):
-    """The canonical fused stage shape from the benchmarks."""
+    """Filter, computed column, projection and a second filter: the
+    shape the optimizer fuses and pushes down."""
     run_both(
         frame,
         lambda df: df.filter(col("f") > lit(0.0))
@@ -158,28 +147,3 @@ def test_udf_stage_identical(frame):
             "h", udf(lambda a, b: np.hypot(a, b), [col("i"), col("f")], "h")
         ).select("h"),
     )
-
-
-@settings(max_examples=30, deadline=None)
-@given(mixed_frames())
-def test_parallel_identical_to_serial(frame):
-    """Morsel-parallel output must equal serial output bit-for-bit,
-    in the same partition order."""
-    i, f, b, s, parts, _ = frame
-    data = _data(i, f, b, s)
-
-    def build(session):
-        df = session.create_dataframe(data, num_partitions=parts)
-        return (
-            df.filter(col("i") % 3 != 0)
-            .with_column("z", col("f") * col("i") - lit(1.5))
-            .select("z", "s")
-        )
-
-    serial = build(Session(default_parallelism=parts))
-    parallel = build(Session(default_parallelism=parts, parallelism=3))
-    serial_parts = list(serial.iter_partitions())
-    parallel_parts = list(parallel.iter_partitions())
-    assert len(serial_parts) == len(parallel_parts)
-    for left, right in zip(serial_parts, parallel_parts):
-        assert_frames_identical(dict(left.columns), dict(right.columns))

@@ -163,14 +163,14 @@ def test_action_path_stats_agree_with_result(pipeline):
 @given(pipelines())
 def test_runtime_and_parallel_spans_do_not_perturb_results(pipeline):
     """The full telemetry stack live at once — background flusher on a
-    short interval, morsel parallelism (cross-thread spans), metered
-    execution — must stay bit-identical to a fully unobserved run."""
+    short interval, metered execution — must stay bit-identical to a
+    fully unobserved run."""
     import tempfile
 
     from repro.obs.runtime import TelemetryRuntime
 
     frame, ops, limit_n, threshold = pipeline
-    session = Session(default_parallelism=frame[2], parallelism=2)
+    session = Session(default_parallelism=frame[2])
     df = _build(session, frame, ops, limit_n, threshold)
 
     obs.set_enabled(True)
@@ -197,11 +197,10 @@ def test_runtime_and_parallel_spans_do_not_perturb_results(pipeline):
 @settings(max_examples=30, deadline=None)
 @given(pipelines())
 def test_parallel_query_span_tree_is_connected(pipeline):
-    """Under Session(parallelism=2) every span recorded for a query —
-    including worker-thread morsel spans — is reachable from the one
+    """Every span recorded for a query is reachable from the one
     engine.query root with valid parent ids."""
     frame, ops, limit_n, threshold = pipeline
-    session = Session(default_parallelism=frame[2], parallelism=2)
+    session = Session(default_parallelism=frame[2])
     df = _build(session, frame, ops, limit_n, threshold)
 
     df.collect()

@@ -89,6 +89,24 @@ class TestNarrowOps:
     def test_drop(self, df):
         assert df.drop("y").columns == ["x", "g"]
 
+    def test_lone_drop_executes(self, df):
+        out = df.drop("y").to_columns()
+        assert list(out) == ["x", "g"]
+        np.testing.assert_array_equal(out["g"], np.arange(10) % 3)
+
+    def test_filter_all_false_keeps_columns_and_dtypes(self, df):
+        out = df.filter(col("x") > 100).to_columns()
+        assert list(out) == ["x", "y", "g"]
+        assert all(arr.size == 0 for arr in out.values())
+        assert out["x"].dtype == np.int64 and out["y"].dtype == np.float64
+
+    def test_overwritten_column_keeps_its_position(self, df):
+        out = df.filter(col("x") > 1).with_column("y", col("x") * 1.0)
+        assert out.columns == ["x", "y", "g"]
+        cols = out.to_columns()
+        assert list(cols) == ["x", "y", "g"]
+        np.testing.assert_array_equal(cols["y"], np.arange(2, 10) * 1.0)
+
     def test_union(self, df):
         assert df.union(df).count() == 20
 
@@ -282,3 +300,48 @@ class TestOrderAndShow:
     def test_to_columns_empty(self, session):
         out = session.create_dataframe({"x": np.empty(0, dtype=np.int64)})
         assert out.to_columns()["x"].size == 0
+
+
+class TestExecutorFastPath:
+    def test_filter_all_true_yields_input_partition(self):
+        from repro.engine import plan as P
+        from repro.engine.executor import iter_partitions
+
+        src_part = Partition({"a": np.array([1, 2, 3])})
+        node = P.Filter(P.Source([lambda: src_part], None), col("a") > lit(0))
+        out = list(iter_partitions(node))
+        assert out[0] is src_part
+
+    def test_all_true_filter_returns_same_object(self):
+        from repro.engine import plan as P
+        from repro.engine.executor import iter_partitions
+
+        parts = [
+            Partition(
+                {
+                    "a": np.array([1, 2], dtype=np.int64),
+                    "b": np.array([0.5, 1.5]),
+                    "s": np.array(["x", "y"], dtype=object),
+                }
+            ),
+            Partition(
+                {
+                    "a": np.array([3, 4], dtype=np.int64),
+                    "b": np.array([2.5, 3.5]),
+                    "s": np.array(["x", "z"], dtype=object),
+                }
+            ),
+        ]
+        source = P.Source([lambda p=p: p for p in parts], None)
+        out = list(iter_partitions(P.Filter(source, col("a") > lit(0))))
+        assert len(out) == 2
+        assert all(o is p for o, p in zip(out, parts))
+
+    def test_order_by_of_all_empty_inputs(self):
+        session = Session(default_parallelism=2)
+        df = session.create_dataframe(
+            {"a": np.array([1, 2], dtype=np.int64)}
+        ).filter(col("a") > 100)
+        out = df.order_by("a").to_columns()
+        assert out["a"].shape == (0,)
+        assert out["a"].dtype == np.int64

@@ -67,6 +67,31 @@ class TestDegenerateArguments:
         df = session.create_dataframe({"x": [1, 2, 3]})
         assert df.limit(0).count() == 0
 
+    def test_limit_zero_keeps_dtypes(self, session):
+        df = session.create_dataframe(
+            {"k": np.array([1, 2, 3], dtype=np.int64), "s": ["a", "b", "c"]}
+        )
+        out = df.limit(0).to_columns()
+        assert {name: arr.size for name, arr in out.items()} == {"k": 0, "s": 0}
+        assert out["k"].dtype == np.int64
+        assert out["s"].dtype == df.to_columns()["s"].dtype
+
+    def test_negative_limit_rejected(self, session):
+        df = session.create_dataframe({"x": [1, 2, 3]})
+        with pytest.raises(ValueError, match="limit"):
+            df.limit(-1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_repartition_rejected(self, session, n):
+        df = session.create_dataframe({"x": [1, 2, 3]})
+        with pytest.raises(ValueError, match="num_partitions"):
+            df.repartition(n)
+
+    def test_order_by_without_keys_rejected(self, session):
+        df = session.create_dataframe({"x": [1, 2, 3]})
+        with pytest.raises(ValueError, match="order_by"):
+            df.order_by()
+
     def test_limit_beyond_size(self, session):
         df = session.create_dataframe({"x": [1, 2, 3]})
         assert df.limit(100).count() == 3

@@ -26,6 +26,10 @@ class TestColumnAndLiteral:
         with pytest.raises(KeyError, match="available"):
             col("nope").evaluate(part)
 
+    def test_missing_column_raises_keyerror(self, part):
+        with pytest.raises(KeyError, match="nope"):
+            (col("nope") + lit(1)).evaluate(part)
+
     def test_literal_broadcast(self, part):
         np.testing.assert_allclose(lit(7).evaluate(part), [7, 7, 7])
 
@@ -85,6 +89,11 @@ class TestOperators:
             (col("s") == "x").evaluate(part), [True, False, True]
         )
 
+    def test_string_literal_comparison(self, part):
+        out = (col("s") == lit("x")).evaluate(part)
+        assert out.dtype == np.bool_
+        np.testing.assert_array_equal(out, [True, False, True])
+
 
 class TestUdf:
     def test_vectorized(self, part):
@@ -98,4 +107,10 @@ class TestUdf:
     def test_row_count_enforced(self, part):
         expr = udf(lambda a: a[:2], ["a"])
         with pytest.raises(ValueError, match="rows"):
+            expr.evaluate(part)
+
+    def test_udf_wrong_length_raises(self, part):
+        # The error names the offending UDF, also when it is nested.
+        expr = udf(lambda a: a[:2], [col("a")], "trunc") + lit(1)
+        with pytest.raises(ValueError, match="trunc"):
             expr.evaluate(part)

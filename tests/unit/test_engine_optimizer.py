@@ -318,11 +318,10 @@ class TestWiring:
         )
         assert "== Logical Plan ==" in text
         assert "== Optimized Plan ==" in text
-        # The optimized section shows the chain collapsed into one
-        # compiled stage, with the narrowed source scan as its first
-        # step.
+        # The optimized section fuses the computed column and narrows
+        # the source scan to the one column it reads.
         optimized = text.split("== Optimized Plan ==")[1]
-        assert "CompiledStage[Project(a)" in optimized
+        assert "WithColumns[d]\n    Project[a]\n      Source" in optimized
 
 
 class TestLeftJoinDtypePolicy:

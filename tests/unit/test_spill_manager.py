@@ -189,9 +189,7 @@ class TestThreadSafety:
 
     def test_parallel_session_spill_correct(self, tmp_path):
         data = {"x": np.random.default_rng(3).permutation(4000)}
-        with Session(
-            memory_budget=2048, spill_dir=str(tmp_path), parallelism=2
-        ) as session:
+        with Session(memory_budget=2048, spill_dir=str(tmp_path)) as session:
             out = (
                 session.create_dataframe(data, num_partitions=8)
                 .order_by("x")
