@@ -6,13 +6,13 @@ Standalone (no pytest) so CI and future PRs can diff keyed timings:
     python benchmarks/run_quick.py
 
 Keys: the vectorized vs per-row 50k x 50k key join, a 500k-row
-group-by, the optimizer on/off prune-heavy workload, the out-of-core
-order_by under a memory budget (peak bytes
-+ spill slowdown), incremental streaming maintenance (delta
-aggregates + in-place grid-tensor updates) vs full recomputation at
-three backlog sizes, the Figure 8 tensor-preparation leg, and a small
-training epoch measuring the cost of the obs layer + dormant profiler
-hooks on the model stack.
+group-by over a one-column and a two-column key, the optimizer on/off
+prune-heavy workload, the out-of-core order_by under a memory budget
+(peak bytes + spill slowdown), incremental streaming maintenance
+(delta aggregates + in-place grid-tensor updates) vs full
+recomputation at three backlog sizes, the Figure 8 tensor-preparation
+leg, and a small training epoch measuring the cost of the obs layer +
+dormant profiler hooks on the model stack.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ def bench_join() -> dict:
 
 
 def bench_groupby(n: int = 500_000, groups: int = 256) -> dict:
+    """A one-column key with few groups (``groupby_s``) and a
+    two-column ``(step, cell)`` int64 key shaped like the ST grid
+    aggregation, ~120k groups (``groupby_2key_s``, recorded only)."""
     rng = np.random.default_rng(5)
     session = Session(default_parallelism=8)
     df = session.create_dataframe(
@@ -105,15 +108,27 @@ def bench_groupby(n: int = 500_000, groups: int = 256) -> dict:
             "v": rng.uniform(0, 1, n),
         }
     )
+    specs = (agg.sum_("v", "s"), agg.count(name="n"), agg.max_("v", "hi"))
     started = time.perf_counter()
-    rows = (
-        df.group_by("k")
-        .agg(agg.sum_("v", "s"), agg.count(name="n"), agg.max_("v", "hi"))
-        .collect()
-    )
+    rows = df.group_by("k").agg(*specs).collect()
     elapsed = time.perf_counter() - started
     assert len(rows) == groups
-    return {"groupby_rows": n, "groupby_s": elapsed}
+    grid = session.create_dataframe(
+        {
+            "step": rng.integers(0, 672, n).astype(np.int64),
+            "cell": rng.integers(0, 192, n).astype(np.int64),
+            "v": rng.uniform(0, 1, n),
+        }
+    )
+    started = time.perf_counter()
+    two_key = grid.group_by("step", "cell").agg(*specs).to_columns()
+    elapsed_2key = time.perf_counter() - started
+    assert int(two_key["n"].sum()) == n
+    return {
+        "groupby_rows": n,
+        "groupby_s": elapsed,
+        "groupby_2key_s": elapsed_2key,
+    }
 
 
 def prune_heavy_frame(session: Session, n: int = 200_000):

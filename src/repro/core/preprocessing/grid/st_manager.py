@@ -251,11 +251,13 @@ class STManager:
 
         With ``num_steps=None`` (default) the tensor *grows* when a
         delta reaches a timestep beyond its current extent: a larger
-        pooled buffer is acquired, existing contents copied, and the
-        old buffer released back to the pool.  The possibly-new tensor
-        is returned — always use the return value.  With ``num_steps``
-        fixed, out-of-range steps are dropped exactly as
-        :meth:`get_st_grid_array` drops them.
+        pooled buffer is acquired and existing contents copied.  The
+        outgrown buffer is dropped, not pooled: its shape is never
+        asked for again, so pooling it would only fill the shared
+        pool's byte cap.  The possibly-new tensor is returned — always
+        use the return value.  With ``num_steps`` fixed, out-of-range
+        steps are dropped exactly as :meth:`get_st_grid_array` drops
+        them.
         """
         check_positive(partitions_x, "partitions_x")
         check_positive(partitions_y, "partitions_y")
@@ -289,7 +291,6 @@ class STManager:
                     (highest + 1,) + array.shape[1:]
                 )
                 grown[: array.shape[0]] = array
-                STManager.release_st_grid_array(array)
                 array = grown
             bound = array.shape[0]
         else:

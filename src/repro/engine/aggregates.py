@@ -16,8 +16,12 @@ values (non-mergeable), and why ``count_distinct`` carries the value *set*
 rather than a count (counts of distinct values do not add).
 
 :class:`ArrayGroupState` is the one form of that merge — whole
-accumulator arrays combined with ``np.unique`` + scatter updates, one
-merge per partition.  Both the batch group-by executor (which
+accumulator arrays combined with scatter updates, one merge per
+partition.  Key rows are grouped and merged through one kind of key,
+an order-preserving int64 code per row (:func:`unique_rows`): the
+state keeps its key rows sorted, and each partition's sorted unique
+rows are placed into them with one ``searchsorted``.  Both the batch
+group-by executor (which
 dictionary-encodes object keys to int64 codes first) and the streaming
 ``DeltaState`` run *this exact class*, which is what makes
 incrementally maintained results bit-identical to a from-scratch
@@ -120,24 +124,79 @@ def _distinct_sets(vals: np.ndarray, inverse: np.ndarray, num_groups: int):
 # ----------------------------------------------------------------------
 # Vectorized per-group state: whole accumulator arrays, scatter merges
 # ----------------------------------------------------------------------
+#: Row codes live in [0, 2**63): the mixed-radix product of the key
+#: column spans may not exceed this.
+_CODE_LIMIT = 1 << 63
+
+
+def _dense_rank(columns: list) -> tuple[list, int]:
+    """Shared dense rank of one column split over several arrays, in
+    ``np.unique`` order (every NaN takes one rank, the last), and the
+    rank count."""
+    joined = np.concatenate(columns) if len(columns) > 1 else columns[0]
+    uniques, inverse = np.unique(joined, return_inverse=True)
+    bounds = np.cumsum([len(c) for c in columns])[:-1]
+    return np.split(inverse.astype(np.int64), bounds), len(uniques)
+
+
+def _digits(columns: list) -> tuple[list, int]:
+    """One key column's order-preserving int64 digits per array and
+    their span: ``value - min`` for integer and bool columns whose span
+    fits the code range, the dense rank otherwise."""
+    if columns[0].dtype.kind in "iub":
+        filled = [c for c in columns if len(c)]
+        if not filled:
+            return [np.zeros(0, np.int64) for _ in columns], 1
+        lo = min(int(c.min()) for c in filled)
+        span = max(int(c.max()) for c in filled) - lo + 1
+        if span <= _CODE_LIMIT:
+            if columns[0].dtype == np.uint64:
+                return [(c - np.uint64(lo)).astype(np.int64) for c in columns], span
+            return [c.astype(np.int64) - lo for c in columns], span
+    return _dense_rank(columns)
+
+
+def _row_codes(arrays: list) -> list:
+    """Order-preserving int64 codes of the key rows of each ``(n, K)``
+    array in ``arrays``, on one shared basis: equal rows get equal
+    codes, and codes sort as the rows sort lexicographically.
+
+    Columns combine in mixed radix; when the running radix product
+    would overflow the code range, the running code (and, if that is
+    not enough, the column) is replaced by its dense rank first.
+    """
+    dtype = np.result_type(*arrays)
+    arrays = [a.astype(dtype, copy=False) for a in arrays]
+    codes, radix = None, 1
+    for j in range(arrays[0].shape[1]):
+        digits, span = _digits([a[:, j] for a in arrays])
+        if codes is None:
+            codes = digits
+        else:
+            if radix * span > _CODE_LIMIT:
+                codes, radix = _dense_rank(codes)
+                if radix * span > _CODE_LIMIT:
+                    digits, span = _dense_rank(digits)
+            codes = [c * span + d for c, d in zip(codes, digits)]
+        radix *= span
+    return codes
+
+
 def unique_rows(rows: np.ndarray, return_counts: bool = False):
-    """``np.unique`` over key rows; 1-column keys take the fast 1-D
-    path instead of the void-view axis=0 machinery."""
-    if rows.shape[1] == 1:
-        result = np.unique(
-            rows[:, 0], return_inverse=True, return_counts=return_counts
-        )
-        uniques = result[0][:, None]
-        rest = result[1:]
-    else:
-        result = np.unique(
-            rows, axis=0, return_inverse=True, return_counts=return_counts
-        )
-        uniques = result[0]
-        rest = result[1:]
-    inverse = rest[0].reshape(-1)
+    """The lexicographically sorted unique key rows, the inverse, and
+    optionally the counts — one 1-D ``np.unique`` over the rows' int64
+    codes.  Float NaN keys are equal to each other, as 1-D
+    ``np.unique`` has them, whatever the key count."""
+    (codes,) = _row_codes([rows])
+    codes_unique, inverse, *counts = np.unique(
+        codes, return_inverse=True, return_counts=return_counts
+    )
+    # One representative row per code (equal codes are equal rows).
+    representative = np.empty(len(codes_unique), dtype=np.intp)
+    representative[inverse] = np.arange(len(rows))
+    uniques = rows[representative]
     if return_counts:
-        return uniques, inverse, rest[1]
+        return uniques, inverse, counts[0]
     return uniques, inverse
 
 
@@ -169,8 +228,14 @@ def empty_group_partition(keys, specs, key_dtypes):
 
 class ArrayGroupState:
     """Per-group accumulators held as whole arrays, merged with
-    ``np.unique`` + scatter updates — one vectorized merge per
-    partition instead of one Python dict update per key.
+    scatter updates — one vectorized merge per partition instead of
+    one Python dict update per key.
+
+    ``keys`` holds the unique key rows in lexicographic order.  A
+    partition's rows are grouped by their int64 row codes; its sorted
+    unique rows and the state's keys are then coded on one shared
+    basis and merged with ``searchsorted``, so a merge costs
+    O(groups + partition) instead of a re-sort of every key seen.
 
     ``values[i]`` holds each spec's partial: a float64 array for
     sum/mean/min/max, a ``(means, m2s)`` array pair for var/std, an
@@ -256,10 +321,23 @@ class ArrayGroupState:
             self.values = partials
             return np.arange(len(uniques), dtype=np.int64)
 
-        num_old = len(self.keys)
-        combined = np.concatenate([self.keys, uniques], axis=0)
-        merged_keys, remap = unique_rows(combined)
-        old_map, new_map = remap[:num_old], remap[num_old:]
+        # Sorted merge: both key sets are sorted and unique, so their
+        # shared-basis codes are strictly increasing and one
+        # searchsorted places every incoming group.
+        old_codes, new_codes = _row_codes([self.keys, uniques])
+        at = np.searchsorted(old_codes, new_codes)
+        fresh = old_codes[np.minimum(at, len(old_codes) - 1)] != new_codes
+        # Position in the merged keys = old keys before + fresh keys before.
+        new_map = at + (np.cumsum(fresh) - fresh)
+        fresh_slot = np.zeros(len(old_codes) + np.count_nonzero(fresh), dtype=bool)
+        fresh_slot[new_map[fresh]] = True
+        old_map = np.flatnonzero(~fresh_slot)
+        merged_keys = np.empty(
+            (len(fresh_slot), uniques.shape[1]),
+            dtype=np.result_type(self.keys, uniques),
+        )
+        merged_keys[old_map] = self.keys
+        merged_keys[new_map[fresh]] = uniques[fresh]
         old_counts = np.zeros(len(merged_keys), dtype=np.int64)
         old_counts[old_map] = self.counts
         merged_counts = old_counts.copy()

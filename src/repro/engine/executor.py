@@ -12,10 +12,11 @@ Joins and group-bys are vectorized end to end.  The join factorizes
 the build side's (possibly multi-column) keys into dense integer codes
 once, then probes each left partition with ``searchsorted`` range
 lookups — no per-row Python.  Group-by keeps per-group accumulator
-*arrays* and merges each partition's partial aggregates with
-``np.unique`` + scatter updates; object keys (strings, geometries)
-are first dictionary-encoded to int64 codes, so every key type runs
-that one state.
+*arrays* and merges each partition's partial aggregates into them
+through order-preserving int64 row codes, a ``searchsorted`` and
+scatter updates; object keys (strings, geometries) are first
+dictionary-encoded to int64 codes, so every key type runs that one
+state.
 
 A :class:`~repro.utils.memory.MemoryMeter` passed via ``meter``
 observes exactly these allocations, which is how the Figure 8 bench

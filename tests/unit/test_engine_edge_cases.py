@@ -152,3 +152,33 @@ class TestMixedDtypes:
             {"flag": np.array([True, False, True]), "v": [1.0, 2.0, 3.0]}
         )
         assert df.filter(col("flag")).count() == 2
+
+
+class TestNaNKeys:
+    """Float NaN keys form one group whatever the number of key
+    columns (1-D ``np.unique``'s rule)."""
+
+    def test_nan_keys_one_group_for_any_key_count(self, session):
+        df = session.create_dataframe(
+            {"a": [np.nan, np.nan, 1.0, np.nan],
+             "b": [2.0, 2.0, 2.0, 2.0],
+             "v": [1.0, 2.0, 3.0, 4.0]}
+        )
+        one = df.group_by("a").agg(agg.count(name="n"), agg.sum_("v", "s"))
+        two = df.group_by("a", "b").agg(agg.count(name="n"), agg.sum_("v", "s"))
+        for out in (one.to_columns(), two.to_columns()):
+            assert out["n"].tolist() == [1, 3]
+            assert out["s"].tolist() == [3.0, 7.0]
+            assert out["a"][0] == 1.0 and np.isnan(out["a"][1])
+
+    def test_streaming_nan_keys_merge_across_batches(self):
+        session = Session()
+        stream = session.stream([("a", np.float64), ("b", np.float64),
+                                 ("v", np.float64)])
+        live = stream.aggregate(["a", "b"], [agg.count(name="n")])
+        stream.append({"a": [np.nan, 1.0], "b": [0.5, 0.5], "v": [1.0, 2.0]})
+        stream.append({"a": [np.nan, np.nan], "b": [0.5, 0.5],
+                       "v": [3.0, 4.0]})
+        out = live.to_partition().columns
+        assert out["n"].tolist() == [1, 3]
+        assert np.isnan(out["a"][1])

@@ -215,6 +215,18 @@ class TestGridUpdate:
         assert out[1:4].sum() == 0.0  # grown region zeroed
         STManager.release_st_grid_array(out)
 
+    def test_growth_does_not_pool_outgrown_buffers(self):
+        from repro.tensor.pool import default_pool
+
+        default_pool().reset()  # no pooled buffer for growth to hit
+        tensor = self._tensor(steps=1)
+        for step in range(1, 6):
+            tensor = STManager.update_st_grid_array(
+                tensor, self._delta([step], [0], [1.0]), 2, 2
+            )
+            assert default_pool().bytes == 0
+        assert tensor.shape == (6, 2, 2, 1)
+
     def test_fixed_num_steps_drops_out_of_range(self):
         tensor = self._tensor(steps=2)
         out = STManager.update_st_grid_array(
