@@ -17,6 +17,7 @@ dormant profiler hooks on the model stack.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -31,6 +32,35 @@ from repro import obs  # noqa: E402
 from repro.engine import Session, agg, col, udf  # noqa: E402
 
 JOIN_ROWS = 50_000
+
+
+def paired_samples(sides: dict, repeats: int) -> dict:
+    """Run every side once per round for ``repeats`` rounds, sides
+    interleaved in insertion order, and return all samples per side.
+
+    ``sides`` maps a name to a zero-argument callable that runs one
+    measured pass and returns its wall seconds (set-up such as
+    ``obs.disabled()`` or starting a runtime stays outside the timed
+    region).  Interleaving keeps clock drift / turbo state from
+    masquerading as overhead: a few-ms pass measured in separate loops
+    would drift between them.
+    """
+    samples = {name: [] for name in sides}
+    for _ in range(repeats):
+        for name, run in sides.items():
+            samples[name].append(run())
+    return samples
+
+
+def spread_keys(samples: dict) -> dict:
+    """``<side>_median_s`` and ``<side>_iqr_s`` per side: recorded
+    alongside the gated min-over-min ratios, never gated."""
+    out = {}
+    for name, values in samples.items():
+        q1, median, q3 = np.percentile(values, [25, 50, 75])
+        out[f"{name}_median_s"] = float(median)
+        out[f"{name}_iqr_s"] = float(q3 - q1)
+    return out
 
 
 def make_join_inputs(n: int = JOIN_ROWS, seed: int = 3):
@@ -181,26 +211,27 @@ def bench_observability() -> dict:
     with obs.disabled():
         joined.count()
 
-    # Best-of-N with the two paths interleaved: the join count is a
-    # few ms, so separate measurement loops would let clock drift /
-    # turbo state masquerade as instrumentation overhead.
-    repeats = 9
-    obs_on_s = obs_off_s = float("inf")
-    rows_on = rows_off = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        rows_on = joined.count()
-        obs_on_s = min(obs_on_s, time.perf_counter() - started)
-        with obs.disabled():
-            started = time.perf_counter()
-            rows_off = joined.count()
-            obs_off_s = min(obs_off_s, time.perf_counter() - started)
+    rows = set()
 
-    assert rows_on == rows_off
+    def count() -> float:
+        started = time.perf_counter()
+        rows.add(joined.count())
+        return time.perf_counter() - started
+
+    def count_obs_off() -> float:
+        with obs.disabled():
+            return count()
+
+    samples = paired_samples(
+        {"join_obs_on": count, "join_obs_off": count_obs_off}, repeats=9
+    )
+    assert len(rows) == 1
+    obs_on_s, obs_off_s = min(samples["join_obs_on"]), min(samples["join_obs_off"])
     return {
         "join_obs_on_s": obs_on_s,
         "join_obs_off_s": obs_off_s,
         "obs_overhead_ratio": obs_on_s / obs_off_s,
+        **spread_keys(samples),
     }
 
 
@@ -213,8 +244,8 @@ def bench_obs_runtime(n: int = 400_000, parts: int = 8) -> dict:
     cost is the delta being measured, not the instrumentation's.  The
     flusher runs on a deliberately aggressive 50ms interval (20x the
     default rate) so any contention it causes is visible; start/stop
-    sit outside the timed region.  Interleaved best-of-N like
-    :func:`bench_observability`.  Gated key (scripts/diff_bench.py):
+    sit outside the timed region.  Interleaved best-of-N through
+    :func:`paired_samples`.  Gated key (scripts/diff_bench.py):
     ``obs_runtime_overhead_ratio`` must stay < 1.10.
     """
     import shutil
@@ -247,24 +278,31 @@ def bench_obs_runtime(n: int = 400_000, parts: int = 8) -> dict:
 
     directory = tempfile.mkdtemp(prefix="repro-obs-bench-")
     runtime = TelemetryRuntime(directory, interval_s=0.05)
-    try:
-        repeats = 7
-        on_s = off_s = float("inf")
-        for _ in range(repeats):
-            off_s = min(off_s, drain())
-            runtime.start()
-            on_s = min(on_s, drain())
+
+    def drain_with_runtime() -> float:
+        runtime.start()
+        try:
+            return drain()
+        finally:
             runtime.stop()
+
+    try:
+        samples = paired_samples(
+            {"obs_runtime_off": drain, "obs_runtime_on": drain_with_runtime},
+            repeats=7,
+        )
         assert runtime.flush_count > 0
         assert os.path.exists(os.path.join(directory, EVENTS_FILE))
     finally:
         runtime.stop()
         shutil.rmtree(directory, ignore_errors=True)
 
+    on_s, off_s = min(samples["obs_runtime_on"]), min(samples["obs_runtime_off"])
     return {
         "obs_runtime_on_s": on_s,
         "obs_runtime_off_s": off_s,
         "obs_runtime_overhead_ratio": on_s / off_s,
+        **spread_keys(samples),
     }
 
 
@@ -272,7 +310,7 @@ def bench_train_overhead() -> dict:
     """Cost of the instrumentation riding on the training stack.
 
     Two ratios over one small conv-model epoch, interleaved best-of-N
-    like :func:`bench_observability`:
+    through :func:`paired_samples`:
 
     - ``train_obs_overhead_ratio``: obs on (dataloader metering, op
       span fast-path checks, trainer histograms) vs ``obs.disabled()``.
@@ -312,30 +350,39 @@ def bench_train_overhead() -> dict:
 
     trainer = make_trainer()
     trainer.train_epoch(loader)  # warm caches / allocator
-    repeats = 5
-    on_s = off_s = prof_s = float("inf")
-    for _ in range(repeats):
+
+    def epoch(profiler=None) -> float:
         started = time.perf_counter()
-        trainer.train_epoch(loader)
-        on_s = min(on_s, time.perf_counter() - started)
+        trainer.train_epoch(loader, profiler=profiler)
+        return time.perf_counter() - started
+
+    def epoch_obs_off() -> float:
         with obs.disabled():
-            started = time.perf_counter()
-            trainer.train_epoch(loader)
-            off_s = min(off_s, time.perf_counter() - started)
-        profiler = Profiler(trainer.model)
-        profiler.start()
-        try:
-            started = time.perf_counter()
-            trainer.train_epoch(loader, profiler=profiler)
-            prof_s = min(prof_s, time.perf_counter() - started)
-        finally:
-            profiler.stop()
+            return epoch()
+
+    def epoch_profiled() -> float:
+        with Profiler(trainer.model) as profiler:
+            return epoch(profiler)
+
+    samples = paired_samples(
+        {
+            "train_obs_on": epoch,
+            "train_obs_off": epoch_obs_off,
+            "train_profiler_on": epoch_profiled,
+        },
+        repeats=5,
+    )
+    on_s, off_s, prof_s = (
+        min(samples[name])
+        for name in ("train_obs_on", "train_obs_off", "train_profiler_on")
+    )
     return {
         "train_obs_on_s": on_s,
         "train_obs_off_s": off_s,
         "train_obs_overhead_ratio": on_s / off_s,
         "train_profiler_on_s": prof_s,
         "train_profiler_overhead_ratio": prof_s / on_s,
+        **spread_keys(samples),
     }
 
 
@@ -537,9 +584,10 @@ def bench_streaming(batch_rows: int = 2_000) -> dict:
       absolute floor is 10x (the incremental path is O(batch) while
       the recompute is O(history), so the ratio must keep growing with
       backlog).
-    - ``stream_update_p99_ms`` — p99 incremental update latency
-      (append + delta scatter) over the timed appends at the largest
-      backlog; higher is worse.
+    - ``stream_update_p99_ms`` — nearest-rank p99 incremental update
+      latency (append + delta scatter) over 100 timed appends from the
+      largest backlog on (the curve's 15 plus 85 more), so the value
+      is an observed update, not an interpolation; higher is worse.
 
     ``stream_curve`` records the full backlog -> (incremental,
     recompute, speedup) curve for docs/PERFORMANCE.md.
@@ -582,27 +630,29 @@ def bench_streaming(batch_rows: int = 2_000) -> dict:
         )
         return time.perf_counter() - started
 
+    def check_rebuild() -> float:
+        started = time.perf_counter()
+        rebuilt = stm.get_st_grid_array(
+            live.recompute_dataframe(),
+            px,
+            py,
+            num_steps=tensor.shape[0],
+            value_columns=channels,
+        )
+        elapsed = time.perf_counter() - started
+        assert np.array_equal(tensor, rebuilt), (
+            "incrementally maintained grid tensor diverged from the "
+            "full rebuild"
+        )
+        stm.release_st_grid_array(rebuilt)
+        return elapsed
+
     curve = []
     for backlog in backlogs:
         while stream.rows_ingested < backlog:
             incremental_append()
         incremental = [incremental_append() for _ in range(15)]
-        recompute_s = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            rebuilt = stm.get_st_grid_array(
-                live.recompute_dataframe(),
-                px,
-                py,
-                num_steps=tensor.shape[0],
-                value_columns=channels,
-            )
-            recompute_s = min(recompute_s, time.perf_counter() - started)
-            assert np.array_equal(tensor, rebuilt), (
-                "incrementally maintained grid tensor diverged from the "
-                "full rebuild"
-            )
-            stm.release_st_grid_array(rebuilt)
+        recompute_s = min(check_rebuild() for _ in range(3))
         curve.append(
             {
                 "backlog_rows": stream.rows_ingested,
@@ -615,12 +665,20 @@ def bench_streaming(batch_rows: int = 2_000) -> dict:
             }
         )
 
+    # The gated p99 needs more than the curve's 15 samples (their
+    # interpolated p99 is one stall): 85 more appends make 100, whose
+    # nearest-rank p99 is an observed update, then one more rebuild
+    # check covers them.
+    incremental += [incremental_append() for _ in range(85)]
+    p99_s = sorted(incremental)[math.ceil(0.99 * len(incremental)) - 1]
+    check_rebuild()
+
     largest = curve[-1]
     return {
         "stream_batch_rows": batch_rows,
         "stream_curve": curve,
         "stream_update_speedup": largest["speedup"],
-        "stream_update_p99_ms": largest["incremental_update_p99_s"] * 1e3,
+        "stream_update_p99_ms": p99_s * 1e3,
         "stream_recompute_s": largest["full_recompute_s"],
     }
 

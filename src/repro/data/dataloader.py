@@ -1,16 +1,18 @@
 """Batch iteration over datasets.
 
-Each yielded batch is metered (``dataloader.batches`` /
-``dataloader.samples`` counters and a ``dataloader.batch_fetch_seconds``
-windowed histogram, mirroring the converter's ``converter.*`` naming) so
-profiles can tell a data-bound epoch from a compute-bound one; when a
-:class:`~repro.obs.profiler.Profiler` is active, every fetch also
-records a ``dataloader.fetch`` event on the profiler timeline.
+Each fetch is one ``dataloader.batch`` tracer span (nesting under the
+active trace, e.g. ``trainer.epoch``), and its ``elapsed_s`` is the
+only clock: it feeds the ``dataloader.batch_fetch_seconds`` windowed
+histogram beside the ``dataloader.batches`` / ``dataloader.samples``
+counters (mirroring the converter's ``converter.*`` naming), so
+profiles can tell a data-bound epoch from a compute-bound one.  When a
+:class:`~repro.obs.profiler.Profiler` is recording, the collate inside
+that span is also a ``dataloader.fetch`` profiler span (kind
+``data``), so loader time sits in the same tree as the model's module
+and kernel spans.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -73,24 +75,20 @@ class DataLoader:
             idx = order[start : start + self.batch_size]
             if self.drop_last and len(idx) < self.batch_size:
                 return
-            metered = obs.enabled()
-            if metered:
-                fetch_started = time.perf_counter()
             # The tracer span carries the fetch into the active trace
-            # (e.g. under trainer.epoch), alongside the profiler event.
+            # (e.g. under trainer.epoch) and is its one clock.
             with obs.tracer.span("dataloader.batch") as tspan:
                 with op_span("dataloader.fetch", kind="data"):
                     batch = self.collate_fn(
                         [self.dataset[int(i)] for i in idx]
                     )
                 tspan.add("samples", len(idx))
-            if metered:
-                elapsed = time.perf_counter() - fetch_started
+            if obs.enabled():
                 obs.registry.counter("dataloader.batches").inc()
                 obs.registry.counter("dataloader.samples").inc(len(idx))
                 # Latency-class metric: windowed log-bucket histogram
                 # (exact-rank tail quantiles over the recent window).
                 obs.registry.windowed_histogram(
                     "dataloader.batch_fetch_seconds"
-                ).observe(elapsed)
+                ).observe(tspan.elapsed_s)
             yield batch

@@ -59,7 +59,7 @@ def _profiled_breakdown(profiler, top: int = 12) -> dict:
     return {
         "total_flops": profiler.total_flops(),
         "total_param_bytes": averages.total_param_bytes,
-        "events": len(profiler.events),
+        "spans": len(profiler.spans),
         "dropped_events": profiler.dropped_events,
         "top_modules": rows[:top],
     }

@@ -1,17 +1,18 @@
 """repro.obs — zero-dependency runtime observability.
 
-Four pieces, one switch:
+Four pieces, one event model, one switch:
 
 - :class:`Tracer` / :class:`Span` (``repro.obs.tracer``) — nested,
-  timed regions with attached counters; ``repro.utils.timing``
-  delegates here so the codebase has one timing substrate.
+  timed regions with attached counters and attributes; the one timing
+  substrate (profiler spans included).
 - :class:`MetricsRegistry` (``repro.obs.metrics``) — process-wide
   counters / gauges / histograms that the engine executor, spatial
   join, DFtoTorch converter, and Trainer all record into.
 - :class:`Profiler` (``repro.obs.profiler``) — torch.profiler-style
-  module/op attribution of the training stack: per-module-path wall
-  time, analytic FLOPs, parameter/activation bytes, with a
-  wait/warmup/active schedule (``Trainer.fit(profiler=...)``).
+  module/op attribution of the training stack: module, kernel and data
+  spans carrying wall time, analytic FLOPs, parameter/activation
+  bytes, with a wait/warmup/active schedule
+  (``Trainer.fit(profiler=...)``).
 - :mod:`repro.obs.export` — snapshot everything as a dict / JSON
   (the per-operator breakdown embedded in ``BENCH_engine.json``) and
   :func:`~repro.obs.export.to_chrome_trace` for chrome://tracing.
@@ -19,10 +20,10 @@ Four pieces, one switch:
 Instrumentation is **on by default but cheap**: recording happens per
 partition / batch / epoch (never per row) and every record call checks
 one module flag first.  ``set_enabled(False)`` (or the ``disabled()``
-context manager) turns the whole layer into no-ops.  Instrumentation
-only *reads* — sizes, counts, clocks — so observed runs return
-bit-identical results to unobserved runs (pinned by
-``tests/property/test_property_obs.py``).
+context manager) turns the whole layer into no-ops, a recording
+profiler included.  Instrumentation only *reads* — sizes, counts,
+clocks — so observed runs return bit-identical results to unobserved
+runs (pinned by ``tests/property/test_property_obs.py``).
 
 >>> from repro import obs
 >>> with obs.tracer.span("load") as span:
@@ -63,7 +64,7 @@ def enabled() -> bool:
 
 def set_enabled(flag: bool) -> None:
     """Flip the single switch guarding all built-in instrumentation
-    (registry recording, engine plan stats, tracer spans)."""
+    (registry recording, engine plan stats, tracer and profiler spans)."""
     global _ENABLED
     _ENABLED = bool(flag)
     tracer.enabled = _ENABLED

@@ -56,21 +56,9 @@ def atomic_write_json(path: str, payload, indent: int = 2, sort_keys: bool = Tru
     """Serialize ``payload`` to ``path`` atomically: write a temp file
     in the same directory, then ``os.replace`` — an interrupted run can
     leave a stray temp file but never a truncated JSON at ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        dir=directory, prefix=".tmp-" + os.path.basename(path) + "-"
+    atomic_write_text(
+        path, json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
     )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
-            handle.write("\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
 
 
 def snapshot(registry=None, tracer=None, include_traces: bool = False) -> dict:
@@ -168,26 +156,17 @@ def to_prometheus(registry=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Virtual thread ids in the Chrome trace: profiler events on one
-#: lane, spans from the first-seen (driver) thread on another, and
-#: each further real thread (e.g. the telemetry flusher)
-#: on its own lane — chrome://tracing / Perfetto draw them as stacked
-#: flame graphs of the same run.
-PROFILER_TID = 0
-TRACER_TID = 1
-
-
 def _trace_tid(span, tids: dict, events: list, pid: int) -> int:
-    """Map a span's real thread id onto a stable virtual lane,
-    emitting a ``thread_name`` metadata event the first time a lane
-    appears."""
+    """Map a span's real thread id onto a stable virtual lane (0 for
+    the first-seen, driver thread; then one lane per further thread,
+    e.g. the telemetry flusher), emitting a ``thread_name`` metadata
+    event the first time a lane appears.  chrome://tracing / Perfetto
+    draw the lanes as stacked flame graphs of the same run."""
     tid = tids.get(span.thread_id)
     if tid is None:
-        tid = TRACER_TID + len(tids)
+        tid = len(tids)
         tids[span.thread_id] = tid
-        label = "tracer (spans)" if tid == TRACER_TID else (
-            f"tracer ({span.thread_name})"
-        )
+        label = "spans" if tid == 0 else f"spans ({span.thread_name})"
         events.append(
             {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
              "args": {"name": label}}
@@ -201,7 +180,7 @@ def _span_to_trace_events(
     open_span = now_s is not None
     event = {
         "name": span.name,
-        "cat": "tracer",
+        "cat": span.attrs.get("kind", "tracer"),
         "ph": "X",
         "ts": span.start_s * 1e6,
         "dur": ((now_s - span.start_s) if open_span else span.elapsed_s) * 1e6,
@@ -227,41 +206,20 @@ def _span_to_trace_events(
 
 
 def chrome_trace_for_spans(
-    spans, *, profiler=None, open_spans=(), path: str | None = None
+    spans, *, open_spans=(), path: str | None = None
 ) -> dict:
     """Chrome Trace Event Format dict for an explicit span iterable
-    (each exported with its full subtree).  Spans from different
-    threads land on distinct ``tid`` lanes named after the thread, and
-    every event carries ``span_id``/``parent_id`` args so parentage
-    survives across lanes.  ``open_spans`` are drawn with their
-    duration extended to now and an ``"open": true`` arg."""
+    (each exported with its full subtree, profiler module/op/data spans
+    included).  Spans from different threads land on distinct ``tid``
+    lanes named after the thread, and every event carries
+    ``span_id``/``parent_id`` args so parentage survives across lanes.
+    ``open_spans`` are drawn with their duration extended to now and an
+    ``"open": true`` arg."""
     pid = os.getpid()
     events: list[dict] = [
-        {"name": "process_name", "ph": "M", "pid": pid, "tid": PROFILER_TID,
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
          "args": {"name": "repro"}},
-        {"name": "thread_name", "ph": "M", "pid": pid, "tid": PROFILER_TID,
-         "args": {"name": "profiler (modules + kernels)"}},
     ]
-    if profiler is not None:
-        for event in profiler.events:
-            events.append(
-                {
-                    "name": event.name,
-                    "cat": event.kind,
-                    "ph": "X",
-                    "ts": event.ts * 1e6,
-                    "dur": event.dur * 1e6,
-                    "pid": pid,
-                    "tid": PROFILER_TID,
-                    "args": {
-                        "op_type": event.op_type,
-                        "step": event.step,
-                        "flops": event.flops,
-                        "param_bytes": event.param_bytes,
-                        "activation_bytes": event.activation_bytes,
-                    },
-                }
-            )
     tids: dict[int, int] = {}
     for span in spans:
         _span_to_trace_events(span, pid, events, tids)
@@ -276,26 +234,27 @@ def chrome_trace_for_spans(
 
 
 def to_chrome_trace(
-    path: str | None = None, *, tracer=None, profiler=None,
-    include_open: bool = True,
+    path: str | None = None, *, tracer=None, include_open: bool = True,
 ) -> dict:
-    """Render tracer spans and profiler events as Chrome Trace Event
-    Format JSON (open in ``chrome://tracing`` or Perfetto).
+    """Render tracer spans as Chrome Trace Event Format JSON (open in
+    ``chrome://tracing`` or Perfetto).
 
     Every timed entry is a complete event (``"ph": "X"``) carrying
     ``name``/``ph``/``ts``/``dur``/``pid``/``tid``; timestamps are
     microseconds on the ``perf_counter`` timebase.  ``tracer`` defaults
-    to the process-wide :data:`repro.obs.tracer`; pass a
-    :class:`~repro.obs.profiler.Profiler` to interleave its module/op
-    events.  Spans still open at export time are included (duration
-    extended to now, ``"open": true`` in args) unless
-    ``include_open=False``.  When ``path`` is given the JSON is also
-    written there atomically.
+    to the process-wide :data:`repro.obs.tracer`.  Spans a
+    :class:`~repro.obs.profiler.Profiler` recorded are part of that
+    tree: they sit on their thread's lane nested under their parent,
+    with ``cat`` set to their kind and the profiler attributes
+    (``op_type``, ``step``, ``flops``, bytes) in ``args``.  Spans still
+    open at export time are included (duration extended to now,
+    ``"open": true`` in args) unless ``include_open=False``.  When
+    ``path`` is given the JSON is also written there atomically.
     """
     from repro import obs
 
     tracer = tracer if tracer is not None else obs.tracer
     open_spans = tracer.open_spans() if include_open else ()
     return chrome_trace_for_spans(
-        list(tracer.roots), profiler=profiler, open_spans=open_spans, path=path
+        list(tracer.roots), open_spans=open_spans, path=path
     )

@@ -92,12 +92,16 @@ class Histogram:
 
     The stored values are decimated 2:1 whenever they exceed
     ``max_values`` (deterministic — no sampling RNG), so memory stays
-    bounded while count/sum/min/max remain exact.
+    bounded while count/sum/min/max remain exact.  A NaN observation
+    only increments ``nan_count``: it is left out of count, sum,
+    min/max and the stored values, so one diverged step cannot poison
+    the process-wide instrument.
     """
 
     __slots__ = (
         "name",
         "count",
+        "nan_count",
         "total",
         "min",
         "max",
@@ -110,6 +114,7 @@ class Histogram:
         self.name = name
         self.max_values = max_values
         self.count = 0
+        self.nan_count = 0
         self.total = 0.0
         self.min = None
         self.max = None
@@ -121,6 +126,9 @@ class Histogram:
             return
         value = float(value)
         with self._lock:
+            if value != value:
+                self.nan_count += 1
+                return
             self.count += 1
             self.total += value
             if self.min is None or value < self.min:
@@ -142,7 +150,8 @@ class Histogram:
 
     def summary(self) -> dict:
         """Deterministic field order: count, sum, min, max, mean,
-        p50, p90, p99 (the JSON schema documented in docs/API.md)."""
+        p50, p90, p99, nan_count (the JSON schema documented in
+        docs/API.md)."""
         return {
             "count": self.count,
             "sum": self.total,
@@ -152,11 +161,13 @@ class Histogram:
             "p50": self.percentile(50) if self.count else None,
             "p90": self.percentile(90) if self.count else None,
             "p99": self.percentile(99) if self.count else None,
+            "nan_count": self.nan_count,
         }
 
     def reset(self) -> None:
         with self._lock:
             self.count = 0
+            self.nan_count = 0
             self.total = 0.0
             self.min = None
             self.max = None
@@ -174,24 +185,6 @@ def _bucket_of(value: float) -> int:
         return _NONPOS_BUCKET
     _, exp = math.frexp(value)  # value = m * 2**exp, m in [0.5, 1)
     return exp - 1
-
-
-class _WindowSlice:
-    """One time slice of a windowed histogram: per-bucket
-    ``[count, max]`` pairs plus exact count/sum/min/max."""
-
-    __slots__ = ("epoch", "buckets", "count", "total", "min", "max")
-
-    def __init__(self):
-        self.reset(-1)
-
-    def reset(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.buckets: dict[int, list] = {}
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
 
 
 class WindowSnapshot:
@@ -213,7 +206,8 @@ class WindowSnapshot:
         self.max = None
 
     def merge(self, other: "WindowSnapshot") -> "WindowSnapshot":
-        """Fold ``other`` into ``self`` (returns ``self``)."""
+        """Fold ``other`` (a snapshot or a window slice) into ``self``
+        (returns ``self``)."""
         for bucket, (count, bmax) in other.buckets.items():
             pair = self.buckets.get(bucket)
             if pair is None:
@@ -259,6 +253,21 @@ class WindowSnapshot:
         return self.total / self.count if self.count else float("nan")
 
 
+class _WindowSlice(WindowSnapshot):
+    """One time slice of a windowed histogram: per-bucket
+    ``[count, max]`` pairs plus exact count/sum/min/max (the snapshot
+    fields) for the observations of one ``epoch``."""
+
+    __slots__ = ("epoch",)
+
+    def __init__(self):
+        self.reset(-1)
+
+    def reset(self, epoch: int) -> None:
+        WindowSnapshot.__init__(self)
+        self.epoch = epoch
+
+
 class WindowedHistogram:
     """Mergeable log-bucketed histogram over a sliding time window.
 
@@ -271,7 +280,9 @@ class WindowedHistogram:
     ever dropped while inside the window — which makes p50/p95/p99
     exact-rank correct at bucket granularity (see
     :meth:`WindowSnapshot.percentile`).  Lifetime ``count``/``total``
-    are also kept exact for rate computation.
+    are also kept exact for rate computation.  A NaN observation only
+    increments the lifetime ``nan_count``; it never reaches the
+    buckets, count, sum or min/max.
 
     Use this for latency-class metrics where tail quantiles matter;
     keep the reservoir :class:`Histogram` for value-distribution
@@ -279,8 +290,8 @@ class WindowedHistogram:
     """
 
     __slots__ = (
-        "name", "window_s", "slices", "slice_s", "count", "total",
-        "_ring", "_clock", "_lock",
+        "name", "window_s", "slices", "slice_s", "count", "nan_count",
+        "total", "_ring", "_clock", "_lock",
     )
 
     def __init__(
@@ -297,6 +308,7 @@ class WindowedHistogram:
         self.slices = int(slices)
         self.slice_s = self.window_s / self.slices
         self.count = 0  # lifetime, exact
+        self.nan_count = 0  # lifetime NaN observations, not in count
         self.total = 0.0  # lifetime, exact
         self._ring = [_WindowSlice() for _ in range(self.slices)]
         self._clock = clock
@@ -309,6 +321,9 @@ class WindowedHistogram:
         bucket = _bucket_of(value)
         epoch = int(self._clock() / self.slice_s)
         with self._lock:
+            if value != value:
+                self.nan_count += 1
+                return
             self.count += 1
             self.total += value
             sl = self._ring[epoch % self.slices]
@@ -335,22 +350,8 @@ class WindowedHistogram:
         oldest = epoch - self.slices + 1
         with self._lock:
             for sl in self._ring:
-                if not sl.count or sl.epoch < oldest:
-                    continue
-                for bucket, (count, bmax) in sl.buckets.items():
-                    pair = snap.buckets.get(bucket)
-                    if pair is None:
-                        snap.buckets[bucket] = [count, bmax]
-                    else:
-                        pair[0] += count
-                        if bmax > pair[1]:
-                            pair[1] = bmax
-                snap.count += sl.count
-                snap.total += sl.total
-                if sl.min is not None and (snap.min is None or sl.min < snap.min):
-                    snap.min = sl.min
-                if sl.max is not None and (snap.max is None or sl.max > snap.max):
-                    snap.max = sl.max
+                if sl.count and sl.epoch >= oldest:
+                    snap.merge(sl)
         return snap
 
     def percentile(self, q: float) -> float:
@@ -358,7 +359,8 @@ class WindowedHistogram:
 
     def summary(self) -> dict:
         """Deterministic field order: lifetime count/sum, then the
-        current window's count, min, max, mean, p50, p95, p99."""
+        current window's count, min, max, mean, p50, p95, p99, then
+        the lifetime nan_count."""
         snap = self.window()
         empty = not snap.count
         return {
@@ -372,11 +374,13 @@ class WindowedHistogram:
             "p50": None if empty else snap.percentile(50),
             "p95": None if empty else snap.percentile(95),
             "p99": None if empty else snap.percentile(99),
+            "nan_count": self.nan_count,
         }
 
     def reset(self) -> None:
         with self._lock:
             self.count = 0
+            self.nan_count = 0
             self.total = 0.0
             for sl in self._ring:
                 sl.reset(-1)

@@ -1,32 +1,40 @@
 """Module/op-level training profiler (``torch.profiler`` analogue).
 
 The :class:`Profiler` attaches forward pre/post hooks to every module
-in a model tree (via :meth:`Module.named_modules`) and records one
-:class:`ProfilerEvent` per forward call, attributing
+in a model tree (via :meth:`Module.named_modules`) and records each
+forward call as a span on the process-wide :data:`repro.obs.tracer`,
+nested under whatever span is open (``trainer.epoch``, a caller's
+span) beside ``engine.query`` and ``dataloader.batch``.  Each span
+carries ``kind`` (module / op / data), ``op_type`` and ``step``
+attributes, and records
 
-- **wall time** per module path, split into total and *self* time
-  (total minus time spent in child module / kernel events),
-- **analytic FLOPs** from layer shapes (conv / linear / recurrent /
-  normalization / activation formulas — each module is charged only
-  for the math it computes itself, so summing events never double
-  counts a container and its children),
-- **parameter bytes** (the module's own parameters, not recursive) and
-  **activation bytes** (output array sizes).
+- **wall time** per module path: the span's ``elapsed_s``, and *self*
+  time (:func:`self_time`: total minus its child module / kernel spans),
+- **analytic FLOPs** (``flops``) from layer shapes (conv / linear /
+  recurrent / normalization / activation formulas — each module is
+  charged only for the math it computes itself, so summing spans never
+  double counts a container and its children),
+- **parameter bytes** (``param_bytes``: the module's own parameters,
+  not recursive) and **activation bytes** (``activation_bytes``:
+  output array sizes).
 
-Kernel-level events from :mod:`repro.tensor.ops_conv` and DataLoader
-batch-fetch events nest under the innermost open module span through
+Kernel-level spans from :mod:`repro.tensor.ops_conv` and DataLoader
+batch-fetch spans nest under the innermost open module span through
 the module-level :func:`op_span` API.  That API is the only coupling
 the tensor layer has to the profiler, and its disabled fast path is a
 single global read plus a ``None`` check — no profiler active means
-near-zero cost.
+near-zero cost.  A recording profiler is silenced by the one switch
+of the observability layer, :func:`repro.obs.set_enabled` /
+:func:`repro.obs.disabled`, like every other record.
 
 A :func:`schedule` (wait / warmup / active, optionally repeating)
 gates recording per training step so steady-state steps are profiled
 without warmup skew; :meth:`Trainer.fit(profiler=...)
 <repro.core.training.trainer.Trainer.fit>` steps the profiler once
-per batch.  Results are summarized by :meth:`Profiler.key_averages`
-(text table grouped by module path or op type) and exported to Chrome
-Trace Event Format by :func:`repro.obs.export.to_chrome_trace`.
+per batch.  Results are views of the recorded spans:
+:meth:`Profiler.key_averages` (text table grouped by module path or op
+type), :meth:`Profiler.total_flops`, and the Chrome Trace Event Format
+export of the tracer tree, :func:`repro.obs.export.to_chrome_trace`.
 
 >>> from repro.obs.profiler import Profiler, schedule
 >>> prof = Profiler(model, schedule=schedule(wait=1, warmup=1, active=3))
@@ -36,7 +44,12 @@ Trace Event Format by :func:`repro.obs.export.to_chrome_trace`.
 
 from __future__ import annotations
 
-import time
+#: Hard cap on the spans one profiler opens on the tracer (module,
+#: kernel and data regions, warmup steps included).  Once reached,
+#: further regions open no span and are counted in
+#: :attr:`Profiler.dropped_events`, so a run without a schedule cannot
+#: grow the span tree without bound.
+MAX_EVENTS = 100_000
 
 
 class ProfilerAction:
@@ -51,7 +64,7 @@ def schedule(*, wait: int = 0, warmup: int = 0, active: int = 1, repeat: int = 0
     """Return a ``step -> action`` callable (torch.profiler style).
 
     Each cycle is ``wait`` idle steps, then ``warmup`` steps where
-    hooks run but their events are discarded, then ``active`` recorded
+    hooks run but their spans are discarded, then ``active`` recorded
     steps.  ``repeat=0`` cycles forever; ``repeat=N`` stops after N
     cycles.
     """
@@ -72,51 +85,6 @@ def schedule(*, wait: int = 0, warmup: int = 0, active: int = 1, repeat: int = 0
         return ProfilerAction.RECORD
 
     return fn
-
-
-class ProfilerEvent:
-    """One completed forward / kernel / data-fetch region."""
-
-    __slots__ = (
-        "name", "kind", "op_type", "ts", "dur", "self_dur",
-        "flops", "param_bytes", "activation_bytes", "depth", "step",
-    )
-
-    def __init__(self, name, kind, op_type, ts, dur, self_dur,
-                 flops, param_bytes, activation_bytes, depth, step):
-        self.name = name
-        self.kind = kind            # "module" | "op" | "data"
-        self.op_type = op_type      # module class name or op name
-        self.ts = ts                # perf_counter seconds at entry
-        self.dur = dur              # wall seconds, children included
-        self.self_dur = self_dur    # wall seconds minus child events
-        self.flops = flops
-        self.param_bytes = param_bytes
-        self.activation_bytes = activation_bytes
-        self.depth = depth          # nesting depth at entry
-        self.step = step            # profiler step the event belongs to
-
-    def to_dict(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __repr__(self):
-        return (
-            f"ProfilerEvent({self.name!r}, kind={self.kind!r}, "
-            f"dur={self.dur:.6f}, flops={self.flops:.0f})"
-        )
-
-
-class _Frame:
-    """An open (not yet finished) event on the profiler stack."""
-
-    __slots__ = ("label", "op_type", "kind", "start", "child_dur")
-
-    def __init__(self, label: str, op_type: str, kind: str):
-        self.label = label
-        self.op_type = op_type
-        self.kind = kind
-        self.start = 0.0
-        self.child_dur = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +195,7 @@ def activation_bytes(output) -> int:
 
 
 # ----------------------------------------------------------------------
-# The op-event API: tensor kernels and the DataLoader call
+# The op-span API: tensor kernels and the DataLoader call
 # ``op_span(name)`` around their hot section.  With no profiler active
 # (or recording off) this returns a shared no-op context manager.
 # ----------------------------------------------------------------------
@@ -252,28 +220,25 @@ _NULL_OP_SPAN = _NullOpSpan()
 
 
 class _OpSpan:
-    """Context manager recording one kernel/data event into the
-    active profiler, nested under the innermost open module span."""
+    """Context manager recording one kernel/data span into the active
+    profiler, nested under the innermost open span."""
 
-    __slots__ = ("_profiler", "_name", "_kind", "_bytes")
+    __slots__ = ("_profiler", "_span", "_bytes")
 
     def __init__(self, profiler: "Profiler", name: str, kind: str):
         self._profiler = profiler
-        self._name = name
-        self._kind = kind
+        self._span = profiler._open(name, kind, name)
         self._bytes = 0
 
     def set_bytes(self, nbytes: int) -> None:
         self._bytes = int(nbytes)
 
     def __enter__(self):
-        self._profiler._push(self._name, self._name, self._kind)
         return self
 
     def __exit__(self, *exc):
-        self._profiler._pop(
-            self._name, flops=0.0, param_bytes=0, act_bytes=self._bytes
-        )
+        if self._span is not None:
+            self._profiler._close(self._span, 0.0, 0, self._bytes)
         return False
 
 
@@ -281,8 +246,9 @@ def op_span(name: str, kind: str = "op"):
     """Time one kernel-level region under the active profiler.
 
     Usage: ``with op_span("ops_conv.conv2d") as op: ...``; the region
-    nests under whichever module forward is currently open.  Returns a
-    shared no-op when no profiler is recording.
+    is a tracer span nested under whichever span (usually a module
+    forward) is currently open.  Returns a shared no-op when no
+    profiler is recording.
     """
     profiler = _ACTIVE
     if profiler is None or not profiler._recording:
@@ -299,8 +265,16 @@ def active_profiler() -> "Profiler | None":
 # Aggregation
 # ----------------------------------------------------------------------
 
+def self_time(span) -> float:
+    """A profiler span's wall seconds minus those of its
+    profiler-recorded children (module, kernel and data spans)."""
+    return span.elapsed_s - sum(
+        child.elapsed_s for child in span.children if "kind" in child.attrs
+    )
+
+
 class KeyAverages:
-    """Aggregated view over profiler events; iterable list of row
+    """Aggregated view over profiler spans; iterable list of row
     dicts plus a formatted text table."""
 
     def __init__(self, rows: list[dict], group_by: str):
@@ -376,7 +350,7 @@ class KeyAverages:
 # ----------------------------------------------------------------------
 
 class Profiler:
-    """Hierarchical module/op profiler.
+    """Hierarchical module/op profiler recording tracer spans.
 
     Parameters
     ----------
@@ -386,26 +360,22 @@ class Profiler:
     schedule:
         Optional ``step -> action`` callable from :func:`schedule`.
         Without one, every step is recorded.
-    on_trace_ready:
-        Optional callback ``fn(profiler)`` fired at the end of each
-        active window (and at ``stop()`` if one is open).
-    max_events:
-        Hard cap on retained events; once reached, further events are
-        counted in ``dropped_events`` instead of stored, so a run
-        without a schedule cannot grow memory without bound.
+
+    ``spans`` holds the finished spans of recorded steps, in
+    completion order; they also sit in the tracer's tree.  At most
+    :data:`MAX_EVENTS` spans are opened per profiler; regions past the
+    cap are counted in ``dropped_events``.
     """
 
-    def __init__(self, model=None, schedule=None, on_trace_ready=None,
-                 max_events: int = 100_000):
+    def __init__(self, model=None, schedule=None):
         self.model = model
         self.schedule = schedule
-        self.on_trace_ready = on_trace_ready
-        self.max_events = max_events
-        self.events: list[ProfilerEvent] = []
+        self.spans: list = []
         self.dropped_events = 0
         self.step_num = 0
         self._handles: list = []
-        self._stack: list[_Frame] = []
+        self._tracer = None
+        self._opened = 0
         self._recording = False
         self._action = ProfilerAction.NONE
         self._warmup_mark = 0
@@ -418,23 +388,30 @@ class Profiler:
             return self
         if _ACTIVE is not None:
             raise RuntimeError("another Profiler is already active")
+        from repro import obs
+
+        self._tracer = obs.tracer
         _ACTIVE = self
         self._started = True
         if self.model is not None:
             self._attach(self.model)
-        self._apply_action(self._current_action())
+        self._apply_schedule()
         return self
 
     def stop(self) -> None:
         global _ACTIVE
         if not self._started:
             return
-        if self._action == ProfilerAction.RECORD and self.on_trace_ready:
-            self.on_trace_ready(self)
         for handle in self._handles:
             handle.remove()
         self._handles.clear()
-        self._stack.clear()
+        # A forward that raised never ran its post hooks; end the module
+        # spans it left open so later spans do not nest under them.
+        tracer = self._tracer
+        span = tracer.current
+        while span is not None and span.attrs.get("kind") == "module":
+            tracer.end_span(span)
+            span = tracer.current
         self._recording = False
         self._started = False
         if _ACTIVE is self:
@@ -448,25 +425,19 @@ class Profiler:
 
     def step(self) -> None:
         """Advance to the next training step (call once per batch)."""
-        previous = self._action
         self.step_num += 1
-        action = self._current_action()
-        if previous == ProfilerAction.RECORD and action != ProfilerAction.RECORD:
-            if self.on_trace_ready:
-                self.on_trace_ready(self)
-        self._apply_action(action)
+        self._apply_schedule()
 
-    def _current_action(self) -> str:
-        if self.schedule is None:
-            return ProfilerAction.RECORD
-        return self.schedule(self.step_num)
-
-    def _apply_action(self, action: str) -> None:
+    def _apply_schedule(self) -> None:
+        action = (
+            ProfilerAction.RECORD if self.schedule is None
+            else self.schedule(self.step_num)
+        )
         if action == ProfilerAction.WARMUP and self._action != ProfilerAction.WARMUP:
-            self._warmup_mark = len(self.events)
+            self._warmup_mark = len(self.spans)
         if self._action == ProfilerAction.WARMUP and action == ProfilerAction.RECORD:
-            # Warmup events existed only to stabilize timing; drop them.
-            del self.events[self._warmup_mark:]
+            # Warmup spans existed only to stabilize timing; drop them.
+            del self.spans[self._warmup_mark:]
         self._action = action
         self._recording = action in (ProfilerAction.WARMUP, ProfilerAction.RECORD)
 
@@ -475,78 +446,72 @@ class Profiler:
         root_name = type(model).__name__
         for path, module in model.named_modules():
             label = f"{root_name}.{path}" if path else root_name
-            self._handles.append(
-                module.register_forward_pre_hook(self._make_pre_hook(label))
-            )
-            self._handles.append(
-                module.register_forward_hook(self._make_post_hook(label))
-            )
+            pre_hook, post_hook = self._make_hooks(label)
+            self._handles.append(module.register_forward_pre_hook(pre_hook))
+            self._handles.append(module.register_forward_hook(post_hook))
 
-    def _make_pre_hook(self, label: str):
+    def _make_hooks(self, label: str):
         def pre_hook(module, args):
             if self._recording:
-                self._push(label, type(module).__name__, "module")
+                self._open(label, "module", type(module).__name__)
 
-        return pre_hook
-
-    def _make_post_hook(self, label: str):
         def post_hook(module, args, output):
             if not self._recording:
                 return
-            param_bytes = sum(
-                p.data.nbytes for p in module._parameters.values()
+            # The module's span is the innermost open one unless a
+            # child forward raised (and was caught) inside it: end
+            # those orphans first.  A module whose pre hook opened no
+            # span (cap reached, layer off) finds no match.
+            tracer = self._tracer
+            span = tracer.current
+            orphans = []
+            while span is not None and span.attrs.get("kind") == "module":
+                if span.name == label:
+                    break
+                orphans.append(span)
+                span = span.parent
+            else:
+                return
+            for orphan in orphans:
+                tracer.end_span(orphan)
+            self._close(
+                span,
+                flops_of(module, args, output),
+                sum(p.data.nbytes for p in module._parameters.values()),
+                activation_bytes(output),
             )
-            self._pop(
-                label,
-                flops=flops_of(module, args, output),
-                param_bytes=param_bytes,
-                act_bytes=activation_bytes(output),
-            )
 
-        return post_hook
+        return pre_hook, post_hook
 
-    # -- event stack ----------------------------------------------------
-    def _push(self, label: str, op_type: str, kind: str) -> None:
-        frame = _Frame(label, op_type, kind)
-        self._stack.append(frame)
-        frame.start = time.perf_counter()
-
-    def _pop(self, label: str, flops: float, param_bytes: int, act_bytes: int) -> None:
-        end = time.perf_counter()
-        # Pop until the matching frame: an exception inside a forward
-        # leaves orphaned frames, which are discarded here rather than
-        # corrupting later attribution.
-        while self._stack:
-            frame = self._stack.pop()
-            if frame.label == label:
-                break
-        else:
-            return
-        dur = end - frame.start
-        if self._stack:
-            self._stack[-1].child_dur += dur
-        if len(self.events) >= self.max_events:
+    # -- spans ----------------------------------------------------------
+    def _open(self, name: str, kind: str, op_type: str):
+        """Open a profiler span under the calling thread's current
+        span; ``None`` when the layer is off or the cap is reached."""
+        tracer = self._tracer
+        if not tracer.enabled:
+            return None
+        if self._opened >= MAX_EVENTS:
             self.dropped_events += 1
-            return
-        self.events.append(
-            ProfilerEvent(
-                name=label,
-                kind=frame.kind,
-                op_type=frame.op_type,
-                ts=frame.start,
-                dur=dur,
-                self_dur=dur - frame.child_dur,
-                flops=flops,
-                param_bytes=param_bytes,
-                activation_bytes=act_bytes,
-                depth=len(self._stack),
-                step=self.step_num,
-            )
-        )
+            return None
+        self._opened += 1
+        span = tracer.start_span(name)
+        attrs = span.attrs
+        attrs["kind"] = kind
+        attrs["op_type"] = op_type
+        attrs["step"] = self.step_num
+        return span
+
+    def _close(self, span, flops: float, param_bytes: int, act_bytes: int) -> None:
+        self._tracer.end_span(span)
+        attrs = span.attrs
+        attrs["flops"] = flops
+        attrs["param_bytes"] = param_bytes
+        attrs["activation_bytes"] = act_bytes
+        self.spans.append(span)
 
     # -- results --------------------------------------------------------
     def key_averages(self, group_by: str = "module") -> KeyAverages:
-        """Aggregate events by ``module`` path or ``op_type``.
+        """Aggregate recorded spans by ``module`` path or ``op_type``.
 
         Parameter bytes are de-duplicated per module path (calling a
         layer N times does not multiply its weights), then summed
@@ -556,16 +521,16 @@ class Profiler:
             raise ValueError(
                 f"group_by must be 'module' or 'op_type', got {group_by!r}"
             )
-        per_path_params: dict[str, int] = {}
         groups: dict[str, dict] = {}
-        grouped_paths: dict[str, set] = {}
-        for event in self.events:
-            key = event.name if group_by == "module" else event.op_type
+        group_params: dict[str, dict] = {}  # key -> {module path: bytes}
+        for span in self.spans:
+            attrs = span.attrs
+            key = span.name if group_by == "module" else attrs["op_type"]
             row = groups.get(key)
             if row is None:
                 row = groups[key] = {
                     "name": key,
-                    "op_type": event.op_type,
+                    "op_type": attrs["op_type"],
                     "calls": 0,
                     "total_s": 0.0,
                     "self_s": 0.0,
@@ -573,22 +538,21 @@ class Profiler:
                     "param_bytes": 0,
                     "activation_bytes": 0,
                 }
-                grouped_paths[key] = set()
+                group_params[key] = {}
             row["calls"] += 1
-            row["total_s"] += event.dur
-            row["self_s"] += event.self_dur
-            row["flops"] += event.flops
-            row["activation_bytes"] += event.activation_bytes
-            grouped_paths[key].add(event.name)
-            previous = per_path_params.get(event.name, 0)
-            if event.param_bytes > previous:
-                per_path_params[event.name] = event.param_bytes
+            row["total_s"] += span.elapsed_s
+            row["self_s"] += self_time(span)
+            row["flops"] += attrs["flops"]
+            row["activation_bytes"] += attrs["activation_bytes"]
+            params = group_params[key]
+            params[span.name] = max(params.get(span.name, 0), attrs["param_bytes"])
         for key, row in groups.items():
-            row["param_bytes"] = sum(
-                per_path_params.get(path, 0) for path in grouped_paths[key]
-            )
+            row["param_bytes"] = sum(group_params[key].values())
         return KeyAverages(list(groups.values()), group_by)
 
     def total_flops(self) -> float:
-        """Sum of per-module analytic FLOPs over all recorded events."""
-        return sum(e.flops for e in self.events if e.kind == "module")
+        """Sum of per-module analytic FLOPs over all recorded spans."""
+        return sum(
+            span.attrs["flops"] for span in self.spans
+            if span.attrs["kind"] == "module"
+        )

@@ -1,7 +1,6 @@
-"""Shared utilities: seeding, timing, memory accounting, validation."""
+"""Shared utilities: seeding, memory accounting, validation."""
 
 from repro.utils.rng import default_rng, derive_seed
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.memory import MemoryMeter, approx_nbytes
 from repro.utils.validation import (
     check_positive,
@@ -13,8 +12,6 @@ from repro.utils.validation import (
 __all__ = [
     "default_rng",
     "derive_seed",
-    "Stopwatch",
-    "timed",
     "MemoryMeter",
     "approx_nbytes",
     "check_positive",

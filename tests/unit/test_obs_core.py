@@ -126,6 +126,7 @@ class TestMetrics:
         summary = h.summary()
         assert list(summary) == [
             "count", "sum", "min", "max", "mean", "p50", "p90", "p99",
+            "nan_count",
         ]
 
     def test_histogram_decimation_keeps_exact_scalars(self):
@@ -175,6 +176,65 @@ class TestMetrics:
         assert list(snap["counters"]) == ["a", "b"]
         assert snap["counters"] == {"a": 2, "b": 1}
         assert snap["histograms"]["h"]["count"] == 1
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("kind", ["histogram", "windowed_histogram"])
+class TestNaNObservations:
+    """A NaN is counted in ``nan_count`` and kept out of count, sum,
+    min/max and the quantiles, for both histogram kinds."""
+
+    @staticmethod
+    def summary_of(kind, values) -> dict:
+        registry = MetricsRegistry()
+        hist = getattr(registry, kind)("h")
+        for value in values:
+            hist.observe(value)
+        return hist.summary()
+
+    @pytest.mark.parametrize(
+        "values", [[NAN, 1.0, 2.0, 4.0], [1.0, 2.0, NAN, 4.0]],
+        ids=["nan_first", "nan_middle"],
+    )
+    def test_nan_left_out_of_summary(self, kind, values):
+        # One value per log2 bucket, so both kinds' quantiles are exact.
+        summary = self.summary_of(kind, values)
+        assert summary["nan_count"] == 1
+        assert summary["count"] == 3
+        assert summary["sum"] == 7.0
+        assert summary["mean"] == pytest.approx(7.0 / 3.0)
+        assert (summary["min"], summary["max"]) == (1.0, 4.0)
+        assert summary["p50"] == 2.0
+        assert 2.0 < summary["p99"] <= 4.0
+
+    def test_nan_only(self, kind):
+        summary = self.summary_of(kind, [NAN, NAN])
+        assert summary["nan_count"] == 2
+        assert summary["count"] == 0
+        assert summary["sum"] == 0.0
+        assert summary["min"] is None and summary["max"] is None
+        assert summary["mean"] is None and summary["p50"] is None
+
+    def test_prometheus_renders_after_nan(self, kind):
+        registry = MetricsRegistry()
+        hist = getattr(registry, kind)("h")
+        for value in (NAN, 2.0, NAN):
+            hist.observe(value)
+        text = obs.export.to_prometheus(registry)
+        assert "# TYPE repro_h summary" in text
+        assert 'repro_h{quantile="0.5"} 2.0' in text
+        assert "repro_h_count 1.0" in text
+        assert "repro_h_sum 2.0" in text
+        assert "NaN" not in text
+
+    def test_reset_clears_nan_count(self, kind):
+        registry = MetricsRegistry()
+        hist = getattr(registry, kind)("h")
+        hist.observe(NAN)
+        hist.reset()
+        assert hist.summary()["nan_count"] == 0
 
 
 class TestEnabledFlag:

@@ -1,6 +1,6 @@
-"""Unit tests for repro.obs.profiler: module/op events, FLOPs
-accounting, schedule gating, key_averages (incl. the golden table),
-Chrome trace export, and atomic JSON writes."""
+"""Unit tests for repro.obs.profiler: module/op spans on the tracer,
+FLOPs accounting, schedule gating, key_averages (incl. the golden
+table), Chrome trace export, and atomic JSON writes."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import pytest
 from repro import nn, obs
 from repro.core.training import Trainer, classification_batch
 from repro.data import DataLoader, TensorDataset
+from repro.engine import Session, agg, col
+from repro.obs import profiler as profiler_mod
 from repro.obs.export import atomic_write_json, to_chrome_trace
 from repro.obs.profiler import (
     Profiler,
@@ -21,8 +23,9 @@ from repro.obs.profiler import (
     active_profiler,
     op_span,
     schedule,
+    self_time,
 )
-from repro.optim import SGD
+from repro.optim import SGD, Adam
 from repro.tensor import Tensor
 
 
@@ -50,37 +53,60 @@ def small_input(n: int = 4) -> Tensor:
     )
 
 
+def kind_of(span) -> str:
+    return span.attrs["kind"]
+
+
 class TestProfilerEvents:
     def test_records_one_event_per_module_call(self):
         model = small_model()
         with Profiler(model) as prof:
             model(small_input())
-        module_events = [e for e in prof.events if e.kind == "module"]
+        module_spans = [s for s in prof.spans if kind_of(s) == "module"]
         # 5 children + the Sequential root.
-        assert len(module_events) == 6
-        names = {e.name for e in module_events}
+        assert len(module_spans) == 6
+        names = {s.name for s in module_spans}
         assert "Sequential" in names and "Sequential.0" in names
+        for span in prof.spans:
+            assert {
+                "kind", "op_type", "step", "flops", "param_bytes",
+                "activation_bytes",
+            } <= set(span.attrs)
 
     def test_kernel_events_nest_under_module(self):
         model = small_model()
         with Profiler(model) as prof:
             model(small_input())
-        conv_op = next(e for e in prof.events if e.name == "ops_conv.conv2d")
-        conv_module = next(e for e in prof.events if e.name == "Sequential.0")
-        assert conv_op.kind == "op"
-        assert conv_op.depth > conv_module.depth
+        conv_op = next(s for s in prof.spans if s.name == "ops_conv.conv2d")
+        conv_module = next(s for s in prof.spans if s.name == "Sequential.0")
+        assert kind_of(conv_op) == "op"
+        assert conv_op.parent is conv_module
         # Kernel time is carved out of the module's self time.
-        assert conv_module.self_dur <= conv_module.dur - conv_op.dur + 1e-9
+        assert self_time(conv_module) <= (
+            conv_module.elapsed_s - conv_op.elapsed_s + 1e-9
+        )
 
     def test_self_time_excludes_children(self):
         model = small_model()
         with Profiler(model) as prof:
             model(small_input())
-        root = next(e for e in prof.events if e.name == "Sequential")
-        children_dur = sum(
-            e.dur for e in prof.events if e.name.startswith("Sequential.")
+        root = next(s for s in prof.spans if s.name == "Sequential")
+        children_s = sum(
+            s.elapsed_s for s in prof.spans if s.name.startswith("Sequential.")
         )
-        assert root.self_dur == pytest.approx(root.dur - children_dur, abs=1e-6)
+        assert self_time(root) == pytest.approx(
+            root.elapsed_s - children_s, abs=1e-6
+        )
+
+    def test_spans_land_in_the_tracer_tree(self):
+        model = small_model()
+        with obs.tracer.span("outer") as outer:
+            with Profiler(model) as prof:
+                model(small_input())
+        (root,) = [s for s in outer.children if s.name == "Sequential"]
+        in_tree = {id(s) for s in outer.walk()}
+        assert prof.spans and all(id(s) in in_tree for s in prof.spans)
+        assert root.parent is outer
 
     def test_detach_removes_hooks_and_clears_active(self):
         model = small_model()
@@ -93,8 +119,10 @@ class TestProfilerEvents:
             not m._forward_hooks and not m._forward_pre_hooks
             for _, m in model.named_modules()
         )
-        model(small_input())  # no profiler -> no new events
-        assert not any(e.name == "extra" for e in prof.events)
+        recorded = len(prof.spans)
+        model(small_input())  # no profiler -> no new spans
+        assert len(prof.spans) == recorded
+        assert obs.tracer.current is None
 
     def test_two_active_profilers_rejected(self):
         first = Profiler(small_model()).start()
@@ -104,13 +132,94 @@ class TestProfilerEvents:
         finally:
             first.stop()
 
-    def test_max_events_drops_not_grows(self):
+    def test_max_events_drops_not_grows(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "MAX_EVENTS", 3)
         model = small_model()
-        prof = Profiler(model, max_events=3)
+        prof = Profiler(model)
         with prof:
             model(small_input())
-        assert len(prof.events) == 3
+        assert len(prof.spans) == 3
         assert prof.dropped_events > 0
+
+    def test_cap_bounds_the_tracer_tree(self, monkeypatch):
+        monkeypatch.setattr(profiler_mod, "MAX_EVENTS", 5)
+        model = small_model()
+        with obs.tracer.span("outer") as outer:
+            with Profiler(model) as prof:
+                for _ in range(4):
+                    model(small_input())
+        profiled = [s for s in outer.walk() if "kind" in s.attrs]
+        assert len(profiled) == 5
+        assert prof.dropped_events > 0
+        assert obs.tracer.current is None
+
+    def test_obs_disabled_silences_recording_profiler(self):
+        model = small_model()
+        with Profiler(model) as prof:
+            with obs.disabled():
+                model(small_input())
+            assert prof.spans == []
+            model(small_input())
+        assert len([s for s in prof.spans if kind_of(s) == "module"]) == 6
+        assert obs.tracer.current is None
+
+
+class Raises(nn.Module):
+    def forward(self, x):
+        raise RuntimeError("boom")
+
+
+class Fallback(nn.Module):
+    """Catches its child's exception and returns the input."""
+
+    def __init__(self):
+        super().__init__()
+        self.inner = nn.Sequential(nn.ReLU(), Raises())
+
+    def forward(self, x):
+        try:
+            return self.inner(x)
+        except RuntimeError:
+            return x
+
+
+class TestExceptionSafety:
+    def test_raising_forward_leaves_no_open_span(self):
+        model = nn.Sequential(nn.ReLU(), Raises())
+        with pytest.raises(RuntimeError):
+            with Profiler(model):
+                model(small_input())
+        assert obs.tracer.current is None
+        assert active_profiler() is None
+
+    def test_raising_fit_under_outer_span_leaves_no_open_span(self):
+        model = nn.Sequential(nn.Conv2d(1, 2, 3, rng=0), Raises())
+        trainer = Trainer(
+            model, SGD(model.parameters(), lr=0.01),
+            nn.CrossEntropyLoss(), classification_batch,
+        )
+        rng = np.random.default_rng(0)
+        loader = DataLoader(
+            TensorDataset(
+                rng.normal(size=(4, 1, 8, 8)).astype(np.float32),
+                rng.integers(0, 3, 4),
+            ),
+            batch_size=2,
+        )
+        with pytest.raises(RuntimeError):
+            with obs.tracer.span("outer"):
+                trainer.fit(loader, epochs=1, profiler=Profiler())
+        assert obs.tracer.current is None
+        assert active_profiler() is None
+
+    def test_caught_child_exception_closes_orphans(self):
+        model = Fallback()
+        with Profiler(model) as prof:
+            model(small_input())
+            assert obs.tracer.current is None
+            names = [s.name for s in prof.spans if kind_of(s) == "module"]
+            # The raising children never finished; their parent did.
+            assert names == ["Fallback.inner.0", "Fallback"]
 
 
 class TestFlops:
@@ -119,44 +228,44 @@ class TestFlops:
         x = Tensor(np.zeros((7, 3), dtype=np.float32))
         with Profiler(layer) as prof:
             layer(x)
-        (event,) = [e for e in prof.events if e.kind == "module"]
-        assert event.flops == 2 * 7 * 3 * 5 + 7 * 5  # matmul + bias
+        (span,) = [s for s in prof.spans if kind_of(s) == "module"]
+        assert span.attrs["flops"] == 2 * 7 * 3 * 5 + 7 * 5  # matmul + bias
 
     def test_conv2d_formula(self):
         layer = nn.Conv2d(2, 4, 3, padding=1, rng=0)
         x = Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32))
         with Profiler(layer) as prof:
             layer(x)
-        (event,) = [e for e in prof.events if e.kind == "module"]
+        (span,) = [s for s in prof.spans if kind_of(s) == "module"]
         # 2 * N*F*OH*OW * C*K*K + bias
-        assert event.flops == 2 * 1 * 4 * 8 * 8 * 2 * 9 + 1 * 4 * 8 * 8
+        assert span.attrs["flops"] == 2 * 1 * 4 * 8 * 8 * 2 * 9 + 1 * 4 * 8 * 8
 
     def test_param_and_activation_bytes(self):
         layer = nn.Linear(3, 5, rng=0)
         x = Tensor(np.zeros((7, 3), dtype=np.float32))
         with Profiler(layer) as prof:
             out = layer(x)
-        (event,) = [e for e in prof.events if e.kind == "module"]
-        assert event.param_bytes == (3 * 5 + 5) * 4
-        assert event.activation_bytes == out.data.nbytes
+        (span,) = [s for s in prof.spans if kind_of(s) == "module"]
+        assert span.attrs["param_bytes"] == (3 * 5 + 5) * 4
+        assert span.attrs["activation_bytes"] == out.data.nbytes
 
     def test_recurrent_formula_counts_cell_and_gates(self):
         cell = nn.LSTMCell(2, 3, rng=0)
         x = Tensor(np.zeros((4, 2), dtype=np.float32))
         with Profiler(cell) as prof:
             cell(x)
-        by_name = {e.name: e for e in prof.events if e.kind == "module"}
-        assert by_name["LSTMCell"].flops == 9 * 4 * 3
+        by_name = {s.name: s for s in prof.spans if kind_of(s) == "module"}
+        assert by_name["LSTMCell"].attrs["flops"] == 9 * 4 * 3
         # The (I+H) x 4H affine map is charged to the child Linear.
         gates = by_name["LSTMCell.gates"]
-        assert gates.flops == 2 * 4 * (2 + 3) * 12 + 4 * 12
+        assert gates.attrs["flops"] == 2 * 4 * (2 + 3) * 12 + 4 * 12
 
     def test_containers_contribute_zero_flops(self):
         model = small_model()
         with Profiler(model) as prof:
             model(small_input())
-        root = next(e for e in prof.events if e.name == "Sequential")
-        assert root.flops == 0.0
+        root = next(s for s in prof.spans if s.name == "Sequential")
+        assert root.attrs["flops"] == 0.0
         assert prof.total_flops() > 0
 
 
@@ -192,25 +301,9 @@ class TestSchedule:
             for _ in range(6):
                 layer(x)
                 prof.step()
-        steps = sorted({e.step for e in prof.events})
+        steps = sorted({s.attrs["step"] for s in prof.spans})
         # Steps 0 (wait) and 1 (warmup) are not kept; 2 and 3 are.
         assert steps == [2, 3]
-
-    def test_on_trace_ready_fires_at_window_end(self):
-        layer = nn.Linear(3, 3, rng=0)
-        x = Tensor(np.zeros((2, 3), dtype=np.float32))
-        ready = []
-        prof = Profiler(
-            layer,
-            schedule=schedule(active=2, repeat=1),
-            on_trace_ready=lambda p: ready.append(len(p.events)),
-        )
-        with prof:
-            for _ in range(4):
-                layer(x)
-                prof.step()
-        assert len(ready) == 1
-        assert ready[0] == len(prof.events)
 
 
 class TestOpSpanFastPath:
@@ -248,8 +341,54 @@ class TestTrainerIntegration:
         assert not prof._started  # fit stopped what it started
         assert active_profiler() is None
         assert prof.step_num == 3  # one step per batch
-        assert any(e.kind == "module" for e in prof.events)
-        assert any(e.name == "dataloader.fetch" for e in prof.events)
+        assert any(kind_of(s) == "module" for s in prof.spans)
+        fetch = next(s for s in prof.spans if s.name == "dataloader.fetch")
+        assert kind_of(fetch) == "data"
+        assert fetch.parent.name == "dataloader.batch"
+
+    def test_fit_under_outer_span_after_query_is_one_tree(self):
+        rng = np.random.default_rng(0)
+        images = rng.normal(size=(12, 1, 8, 8)).astype(np.float32)
+        session = Session(default_parallelism=2)
+        frame = session.create_dataframe(
+            {"label": rng.integers(0, 3, 12), "v": rng.uniform(0, 1, 12)}
+        )
+        model = small_model()
+        trainer = Trainer(
+            model,
+            Adam(model.parameters(), lr=1e-3),
+            nn.CrossEntropyLoss(),
+            classification_batch,
+        )
+        prof = Profiler(schedule=schedule(wait=1, active=2, repeat=1))
+        with obs.tracer.span("run"):
+            rows = (
+                frame.filter(col("v") >= 0.0)
+                .group_by("label")
+                .agg(agg.count(name="n"))
+                .collect()
+            )
+            labels = np.repeat(
+                [r["label"] for r in rows], [r["n"] for r in rows]
+            )
+            loader = DataLoader(TensorDataset(images, labels), batch_size=4)
+            trainer.fit(loader, epochs=1, profiler=prof)
+        assert obs.tracer.current is None
+        (root,) = list(obs.tracer.roots)
+        assert root.name == "run"
+        tree = list(root.walk())
+        names = {span.name for span in tree}
+        assert {
+            "engine.query", "trainer.epoch", "dataloader.batch",
+            "dataloader.fetch", "Sequential", "Sequential.0",
+            "ops_conv.conv2d", "ops_conv.conv2d.backward",
+            "optim.adam.step",
+        } <= names
+        # Connected: every span's parent is in the same tree, and every
+        # recorded profiler span is part of it.
+        ids = {span.span_id for span in tree}
+        assert all(span.parent_id in ids for span in tree[1:])
+        assert prof.spans and {s.span_id for s in prof.spans} <= ids
 
     def test_fit_leaves_caller_started_profiler_running(self):
         trainer, loader = self.make_bits()
@@ -360,24 +499,36 @@ class TestChromeTrace:
         with obs.tracer.span("outer"):
             with obs.tracer.span("inner"):
                 pass
-        trace = json.loads(json.dumps(to_chrome_trace(profiler=prof)))
+        trace = json.loads(json.dumps(to_chrome_trace()))
         complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert complete  # both profiler events and tracer spans present
+        assert complete  # both profiler spans and plain spans present
         for event in complete:
             assert {"name", "ph", "ts", "dur", "pid", "tid"} <= set(event)
         names = {e["name"] for e in complete}
         assert {"Sequential", "ops_conv.conv2d", "outer", "inner"} <= names
 
-    def test_tracer_and_profiler_on_separate_tids(self):
+    def test_profiler_spans_share_their_parents_lane(self):
         model = small_model()
-        with Profiler(model) as prof:
-            model(small_input())
         with obs.tracer.span("span"):
-            pass
-        trace = to_chrome_trace(profiler=prof)
-        complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        tids = {e["name"]: e["tid"] for e in complete}
-        assert tids["span"] != tids["Sequential"]
+            with Profiler(model):
+                model(small_input())
+        trace = to_chrome_trace()
+        events = {
+            e["name"]: e for e in trace["traceEvents"] if e["ph"] == "X"
+        }
+        outer, root = events["span"], events["Sequential"]
+        conv = events["ops_conv.conv2d"]
+        assert outer["tid"] == root["tid"] == conv["tid"]
+        assert root["args"]["parent_id"] == outer["args"]["span_id"]
+        assert conv["args"]["parent_id"] == events["Sequential.0"]["args"]["span_id"]
+        assert (root["cat"], conv["cat"], outer["cat"]) == (
+            "module", "op", "tracer"
+        )
+        assert conv["args"]["op_type"] == "ops_conv.conv2d"
+        assert root["args"]["flops"] == 0.0
+        # Nested on one lane: the child's interval sits inside its parent's.
+        assert outer["ts"] <= root["ts"]
+        assert root["ts"] + root["dur"] <= outer["ts"] + outer["dur"] + 1.0
 
     def test_nested_span_timestamps_are_contained(self):
         with obs.tracer.span("outer"):

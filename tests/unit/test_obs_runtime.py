@@ -136,7 +136,7 @@ class TestWindowedHistogram:
         summary = hist.summary()
         assert list(summary) == [
             "count", "sum", "window_s", "window_count", "min", "max",
-            "mean", "p50", "p95", "p99",
+            "mean", "p50", "p95", "p99", "nan_count",
         ]
         assert summary["count"] == 0 and summary["p99"] is None
         assert math.isnan(hist.percentile(99))

@@ -1,6 +1,4 @@
-"""Utilities: rng derivation, timing, validation, baseline frame."""
-
-import time
+"""Utilities: rng derivation, validation, baseline frame."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from repro.baselines import EagerGeoFrame
 from repro.geometry import Envelope, UniformGrid
 from repro.utils.memory import MemoryBudgetExceeded, MemoryMeter
 from repro.utils.rng import default_rng, derive_seed, get_global_seed, set_global_seed
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -51,24 +48,6 @@ class TestRng:
             np.testing.assert_allclose(a, b)
         finally:
             set_global_seed(old)
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.lap("a"):
-            time.sleep(0.01)
-        with sw.lap("a"):
-            time.sleep(0.01)
-        assert sw.laps["a"] >= 0.02
-        assert sw.total == sum(sw.laps.values())
-        assert "a:" in sw.report()
-
-    def test_timed_sink(self):
-        sink = {}
-        with timed(sink, "step"):
-            time.sleep(0.005)
-        assert sink["step"] >= 0.005
 
 
 class TestValidation:
